@@ -12,9 +12,8 @@ import json
 import socket
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from ipaddress import IPv4Address, IPv4Network
 from pathlib import Path
 from typing import Callable, TextIO
@@ -126,11 +125,11 @@ class EventLog:
             self._stream.flush()
 
 
-@dataclass
+@dataclass(slots=True)
 class _DedupEntry:
     request_authenticator: bytes
     stored_at: datetime
-    response: bytes | None = None  # None while the request is in flight
+    response: bytes
 
 
 class Server:
@@ -149,8 +148,12 @@ class Server:
         self.config = config
         self.auth = Authenticator(users, delivery, config.auth_policy)
         self.events = event_log or EventLog()
-        self._dedup: dict[tuple[IPv4Address, int], _DedupEntry] = {}
+        # Keyed on (peer, port, identifier) packed into one int: live entries
+        # set peak memory, and a tuple key costs about 150 B more per entry.
+        # Lock order: dedup, auth, delivery log, event log; none in reverse.
+        self._dedup: dict[int, _DedupEntry] = {}
         self._dedup_lock = threading.Lock()
+        self._dedup_window = timedelta(seconds=config.dedup_window_seconds)
         self._socket: socket.socket | None = None
         self._stop = threading.Event()
         if config.clock_override is not None:
@@ -160,9 +163,13 @@ class Server:
 
     # -- request handling ----------------------------------------------------
 
-    def handle_datagram(self, data: bytes, peer: IPv4Address,
-                        now: datetime) -> bytes | None:
-        """Process one datagram; None means drop silently."""
+    def handle_datagram(self, data: bytes, peer: IPv4Address, now: datetime,
+                        *, port: int = 0) -> bytes | None:
+        """Process one datagram from `peer`:`port`; None means drop silently.
+
+        Dedup lookup, decision and store form one critical section, so any
+        thread may call this.
+        """
         client = self._client_for(peer)
         if client is None:
             self.events.log(now, "drop", str(peer), "unknown client")
@@ -176,18 +183,22 @@ class Server:
             self.events.log(now, "drop", str(peer), f"unexpected code {request.code.name}")
             return None
 
-        replay, proceed = self._dedup_check(peer, request, now)
-        if replay is not None:
-            self.events.log(now, "replay", str(peer), f"id={request.identifier}")
-            return replay
-        if not proceed:
-            self.events.log(now, "drop", str(peer),
-                            f"duplicate id={request.identifier} in dedup window")
-            return None
+        key = int(peer) << 24 | port << 8 | request.identifier
+        cutoff = now - self._dedup_window
+        with self._dedup_lock:
+            cached = self._dedup.get(key)
+            if cached is not None and cached.stored_at > cutoff:
+                if cached.request_authenticator == request.authenticator:
+                    self.events.log(now, "replay", str(peer), f"id={request.identifier}")
+                    return cached.response
+                self.events.log(now, "drop", str(peer),
+                                f"duplicate id={request.identifier} in dedup window")
+                return None
+            self._dedup_evict(cutoff)  # replays and drops add nothing, so skip it
+            decision, username = self._decide(request, client, peer, now)
+            response = self._render(decision, request, client.shared_secret)
+            self._dedup[key] = _DedupEntry(request.authenticator, now, response)
 
-        decision, username = self._decide(request, client, peer, now)
-        response = self._render(decision, request, client.shared_secret)
-        self._dedup_store(peer, request, response, now)
         subject = username or str(peer)
         if decision.outcome is Outcome.ACCEPT:
             self.events.log(now, "accept", subject,
@@ -273,45 +284,14 @@ class Server:
             code = PacketCode.ACCESS_REJECT
             attrs = (Attribute(wire.REPLY_MESSAGE, REJECT_MESSAGE),)
 
-        unstamped = Packet(code, request.identifier, bytes(16), attrs)
-        authenticator = wire.compute_response_authenticator(
-            unstamped, request.authenticator, secret)
-        return wire.encode_packet(
-            Packet(code, request.identifier, authenticator, attrs))
+        return wire.stamp_response(
+            wire.encode_packet(Packet(code, request.identifier, bytes(16), attrs)),
+            request.authenticator, secret)
 
     # -- duplicate suppression -------------------------------------------------
 
-    def _dedup_check(self, peer: IPv4Address, request: Packet,
-                     now: datetime) -> tuple[bytes | None, bool]:
-        """Returns (cached response to replay, whether to process).
-
-        A retransmission (same peer, id and RA) is answered with the cached
-        bytes; a different request reusing a live (peer, id) slot is dropped.
-        """
-        key = (peer, request.identifier)
-        with self._dedup_lock:
-            self._dedup_evict(now)
-            entry = self._dedup.get(key)
-            if entry is None:
-                self._dedup[key] = _DedupEntry(request.authenticator, now)
-                return None, True
-            if entry.request_authenticator == request.authenticator:
-                return entry.response, False  # in flight -> (None, False): drop
-            return None, False
-
-    def _dedup_store(self, peer: IPv4Address, request: Packet,
-                     response: bytes, now: datetime) -> None:
-        key = (peer, request.identifier)
-        with self._dedup_lock:
-            entry = self._dedup.get(key)
-            if entry is not None and entry.request_authenticator == request.authenticator:
-                entry.response = response
-                entry.stored_at = now
-
-    def _dedup_evict(self, now: datetime) -> None:
-        horizon = self.config.dedup_window_seconds
-        stale = [k for k, e in self._dedup.items()
-                 if (now - e.stored_at).total_seconds() >= horizon]
+    def _dedup_evict(self, cutoff: datetime) -> None:
+        stale = [k for k, e in self._dedup.items() if e.stored_at <= cutoff]
         for key in stale:
             del self._dedup[key]
 
@@ -335,32 +315,36 @@ class Server:
             raise RuntimeError("server is not bound")
         return self._socket.getsockname()[1]
 
-    def serve_forever(self, workers: int = 8) -> None:
-        """Receive loop; returns after shutdown() and a clean drain."""
+    def serve_forever(self) -> None:
+        """Serve datagrams one at a time, in arrival order, until shutdown().
+
+        A stop request is noticed within the 0.2 s receive timeout;
+        datagrams still queued in the socket then go unanswered.
+        """
         if self._socket is None:
             self.bind()
         self.events.log(self.clock(), "listen",
                         f"{self.config.bind_address}:{self.bound_port}", "")
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            while not self._stop.is_set():
-                try:
-                    data, addr = self._socket.recvfrom(wire.MAX_PACKET_LEN + 1)
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                pool.submit(self._serve_one, data, addr)
+        while not self._stop.is_set():
+            try:
+                data, addr = self._socket.recvfrom(wire.MAX_PACKET_LEN + 1)
+            except socket.timeout:
+                continue
+            except OSError:
+                break
+            self._serve_one(data, addr)
         self._socket.close()
         self._socket = None
         self.events.log(self.clock(), "shutdown", "-", "")
 
     def _serve_one(self, data: bytes, addr: tuple[str, int]) -> None:
         try:
-            response = self.handle_datagram(data, IPv4Address(addr[0]), self.clock())
+            response = self.handle_datagram(
+                data, IPv4Address(addr[0]), self.clock(), port=addr[1])
         except Exception as exc:  # never let a handler kill the loop
             self.events.log(self.clock(), "error", addr[0], repr(exc))
             return
-        if response is not None and self._socket is not None:
+        if response is not None:
             try:
                 self._socket.sendto(response, addr)
             except OSError:

@@ -269,17 +269,18 @@ def recover_password(hidden: bytes, secret: bytes, ra: bytes) -> bytes:
     return plain
 
 
-def compute_response_authenticator(response: Packet, request_ra: bytes, secret: bytes) -> bytes:
-    """MD5(code + id + length + request RA + attributes + secret).
+def stamp_response(raw: bytes, request_ra: bytes, secret: bytes) -> bytes:
+    """Put MD5(code + id + length + request RA + attributes + secret) in
+    the authenticator field of an encoded response; request RA is the
+    Request Authenticator of the request being answered."""
+    head, body = raw[:4], raw[HEADER_LEN:]
+    return head + _md5(head + request_ra + body + secret) + body
 
-    Callers pass a response packet (Accept, Reject or Challenge) and the
-    Request Authenticator of the request being answered.
-    """
-    body = b""
-    for attr in response.attributes:
-        body += struct.pack("!BB", attr.attr_type, len(attr.value) + 2) + attr.value
-    header = struct.pack("!BBH", response.code, response.identifier, HEADER_LEN + len(body))
-    return _md5(header + request_ra + body + secret)
+
+def compute_response_authenticator(response: Packet, request_ra: bytes, secret: bytes) -> bytes:
+    """The authenticator stamp_response would give a response packet
+    (Accept, Reject or Challenge)."""
+    return stamp_response(encode_packet(response), request_ra, secret)[4:HEADER_LEN]
 
 
 def verify_response_authenticator(response: Packet, request_ra: bytes, secret: bytes) -> bool:

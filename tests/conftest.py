@@ -20,6 +20,7 @@ class LiveServer:
     delivery_log: Path
     fixture_dir: Path
     events: io.StringIO
+    thread: threading.Thread
 
     @property
     def endpoint(self) -> tuple[str, int]:
@@ -45,6 +46,7 @@ def live_server(tmp_path):
         delivery_log=tmp_path / "otp-delivery.log",
         fixture_dir=tmp_path,
         events=events,
+        thread=thread,
     )
     server.shutdown()
     thread.join(timeout=3)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import sys
+import threading
 from datetime import datetime, timedelta
 from ipaddress import IPv4Address
 
@@ -151,6 +153,31 @@ def test_reused_identifier_different_packet_dropped(server):
         access_request(ALICE, ALICE_PW, identifier=9), PEER, now) is not None
     assert server.handle_datagram(
         access_request(ALICE, ALICE_PW, identifier=9), PEER, now) is None
+
+
+def test_concurrent_copies_of_one_request_get_one_decision(server):
+    """Dedup lookup, decision and store are one critical section: copies of
+    a request handled on several threads at once all get the same bytes."""
+    raw = access_request(ALICE, ALICE_PW, identifier=3,
+                         service_type=wire.SERVICE_ADMINISTRATIVE_USER)
+    now = server.clock()
+    responses = []
+    threads = [threading.Thread(
+        target=lambda: responses.append(server.handle_datagram(raw, PEER, now)))
+        for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert responses[0] is not None
+    assert responses == [responses[0]] * 8
+    assert server.auth.pending_challenges(ALICE) == 1
 
 
 def test_dedup_window_expires(server):
