@@ -1,8 +1,10 @@
-"""Authentication flow: first factor, OTP second factor, sessions, escalation.
+"""Authentication flow: first factor, OTP second factor, sessions.
 
 The user store is read-only at runtime.  The challenge and session stores
-are shared mutable state; every mutation happens under one lock so that a
-state token can be consumed at most once and attempt counters never race.
+are shared mutable state; each decision reads and updates them in one
+critical section under one lock, so a session cannot change between the
+check that it covers a request and the accept, a state token is consumed
+at most once, and attempt counters never race.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class RejectReason(Enum):
     MALFORMED_REQUEST = "MalformedRequest"
     BAD_OTP = "BadOtp"
     UNKNOWN_CHALLENGE = "UnknownChallenge"
-    SESSION_EXPIRED = "SessionExpired"
+    CHALLENGE_FLOOD = "ChallengeFloodLimit"
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,6 @@ def verify_first_factor(username: str, password: bytes, store: UserStore) -> boo
 class OtpChallenge:
     state_token: bytes
     otp_value: str
-    issued_at: datetime
     expires_at: datetime
     attempts_remaining: int
     pending_action: RequestedAction
@@ -170,7 +171,6 @@ class Session:
     username: str
     granted_role: Role
     factors_verified: int
-    established_at: datetime
     expires_at: datetime
 
 
@@ -262,7 +262,6 @@ class Authenticator:
                 username=username,
                 granted_role=role,
                 factors_verified=factors,
-                established_at=now,
                 expires_at=now + timedelta(seconds=self.policy.session_ttl_seconds),
             )
             self._sessions[username] = session
@@ -284,23 +283,30 @@ class Authenticator:
         if record is None:
             raise AuthError(f"no such user {username!r}")
         with self._lock:
-            self._sweep_challenges(now)
-            pending = sum(1 for c in self._challenges.values() if c.username == username)
-            if pending >= self.policy.max_pending_per_user:
-                raise ChallengeFloodLimit(
-                    f"{username} already has {pending} pending challenges")
-            challenge = OtpChallenge(
-                state_token=secrets.token_bytes(16),
-                otp_value=self._random_otp(),
-                issued_at=now,
-                expires_at=now + timedelta(seconds=self.policy.otp_ttl_seconds),
-                attempts_remaining=self.policy.otp_max_attempts,
-                pending_action=action,
-                username=username,
-            )
-            self._challenges[challenge.state_token] = challenge
+            challenge = self._register_challenge(username, action, now)
+        if challenge is None:
+            raise ChallengeFloodLimit(f"{username} has too many pending challenges")
         # outside the lock: file IO; the log is flushed before we return
         self.delivery.append(now, record.otp_channel, challenge.otp_value)
+        return challenge
+
+    def _register_challenge(self, username: str, action: RequestedAction,
+                            now: datetime) -> OtpChallenge | None:
+        """Store a fresh challenge, or None at the per-user pending maximum.
+        Caller holds the lock and delivers the OTP after releasing it."""
+        self._sweep_challenges(now)
+        pending = sum(1 for c in self._challenges.values() if c.username == username)
+        if pending >= self.policy.max_pending_per_user:
+            return None
+        challenge = OtpChallenge(
+            state_token=secrets.token_bytes(16),
+            otp_value=self._random_otp(),
+            expires_at=now + timedelta(seconds=self.policy.otp_ttl_seconds),
+            attempts_remaining=self.policy.otp_max_attempts,
+            pending_action=action,
+            username=username,
+        )
+        self._challenges[challenge.state_token] = challenge
         return challenge
 
     def _random_otp(self) -> str:
@@ -340,9 +346,12 @@ class Authenticator:
                      snapshot: ContextSnapshot, now: datetime) -> AuthDecision:
         """One pass of the decision flow for a credentials-bearing request.
 
-        After the first factor passes, an existing session covering the
-        requested role is accepted outright; otherwise the context/action
-        policy decides between immediate accept and an OTP challenge.
+        After the first factor passes, the context and action set the
+        required level.  A live session covers the request when its factors
+        meet that level and it already holds the role or holds two factors;
+        the role is then raised in place.  Otherwise a Low request is
+        admitted on one factor and a High one is challenged; completing the
+        challenge upgrades the same session.
         """
         if not username or not password:
             return AuthDecision.reject(RejectReason.MALFORMED_REQUEST)
@@ -353,21 +362,23 @@ class Authenticator:
         if not verify_first_factor(username, password, self.users):
             return AuthDecision.reject(RejectReason.BAD_CREDENTIALS)
 
-        needed = ROLE_FOR_ACTION[action]
-        with self._lock:
-            existing = self._live_session(username, now)
-        if existing is not None and existing.granted_role >= needed:
-            return AuthDecision.accept(existing.granted_role)
-
-        if existing is not None and action is RequestedAction.ROOT_ACCESS:
-            return self.escalate(existing, snapshot, now)
-
+        role = ROLE_FOR_ACTION[action]
         level = required_security(evaluate_plausibility(snapshot), action)
-        if level is SecurityLevel.LOW:
-            with self._lock:
-                self._admit(username, Role.DEFAULT, 1, now)
-            return AuthDecision.accept(Role.DEFAULT)
-        challenge = self.issue_otp_challenge(username, action, now)
+        with self._lock:
+            session = self._live_session(username, now)
+            if (session is not None
+                    and session.factors_verified >= level.required_factors
+                    and (session.granted_role >= role or session.factors_verified >= 2)):
+                session.granted_role = max(session.granted_role, role)
+                return AuthDecision.accept(session.granted_role)
+            if level is SecurityLevel.LOW:
+                self._admit(username, role, 1, now)
+                return AuthDecision.accept(role)
+            challenge = self._register_challenge(username, action, now)
+        if challenge is None:
+            return AuthDecision.reject(RejectReason.CHALLENGE_FLOOD)
+        # outside the lock: file IO; the log is flushed before we return
+        self.delivery.append(now, self.users.get(username).otp_channel, challenge.otp_value)
         return AuthDecision.challenge(challenge.state_token)
 
     def complete_challenge(self, state_token: bytes, otp: str,
@@ -382,23 +393,6 @@ class Authenticator:
         with self._lock:
             session = self._admit(challenge.username, role, 2, now)
         return AuthDecision.accept(session.granted_role)
-
-    def escalate(self, session: Session, snapshot: ContextSnapshot,
-                 now: datetime) -> AuthDecision:
-        """Raise a Default session to Root, challenging only if a second
-        factor is still missing; the session is updated, never replaced."""
-        if now >= session.expires_at:
-            with self._lock:
-                if self._sessions.get(session.username) is session:
-                    del self._sessions[session.username]
-            return AuthDecision.reject(RejectReason.SESSION_EXPIRED)
-        if session.factors_verified >= 2:
-            with self._lock:
-                session.granted_role = Role.ROOT
-            return AuthDecision.accept(Role.ROOT)
-        challenge = self.issue_otp_challenge(
-            session.username, RequestedAction.ROOT_ACCESS, now)
-        return AuthDecision.challenge(challenge.state_token)
 
     # -- observability for tests and the server -----------------------------
 

@@ -21,7 +21,6 @@ from typing import Callable, TextIO
 from . import wire
 from .auth import (
     AuthDecision,
-    AuthError,
     AuthPolicy,
     Authenticator,
     DeliveryLog,
@@ -240,20 +239,17 @@ class Server:
         snapshot = snapshot_context(source, now, self.config.context)
 
         state = request.first(wire.STATE)
-        try:
-            if state is not None:
-                if password is None:
-                    return AuthDecision.reject(RejectReason.MALFORMED_REQUEST), username
-                try:
-                    otp = password.decode("ascii")
-                except UnicodeDecodeError:
-                    return AuthDecision.reject(RejectReason.BAD_OTP), username
-                return self.auth.complete_challenge(state, otp, now), username
-            if username is None or password is None:
+        if state is not None:
+            if password is None:
                 return AuthDecision.reject(RejectReason.MALFORMED_REQUEST), username
-            return self.auth.authenticate(username, password, action, snapshot, now), username
-        except AuthError:
+            try:
+                otp = password.decode("ascii")
+            except UnicodeDecodeError:
+                return AuthDecision.reject(RejectReason.BAD_OTP), username
+            return self.auth.complete_challenge(state, otp, now), username
+        if username is None or password is None:
             return AuthDecision.reject(RejectReason.MALFORMED_REQUEST), username
+        return self.auth.authenticate(username, password, action, snapshot, now), username
 
     @staticmethod
     def _requested_action(request: Packet) -> RequestedAction:

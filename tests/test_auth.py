@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import threading
 from datetime import datetime, timedelta, timezone
 from ipaddress import IPv4Address
@@ -177,6 +178,34 @@ def test_implausible_default_demands_challenge(engine):
     assert decision.outcome is Outcome.CHALLENGE
 
 
+def test_concurrent_root_requests_respect_the_pending_maximum(engine):
+    """The pending count is checked and the challenge stored in one
+    critical section: past the maximum, requests get their own reason."""
+    results = []
+    barrier = threading.Barrier(8)
+
+    def attempt():
+        barrier.wait(timeout=5)
+        results.append(engine.authenticate(
+            "alice", b"wonderland", RequestedAction.ROOT_ACCESS, PLAUSIBLE, NOW))
+
+    threads = [threading.Thread(target=attempt) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(d.outcome.value for d in results) == ["challenge"] * 3 + ["reject"] * 5
+    assert {d.reason for d in results if d.outcome is Outcome.REJECT} == {
+        RejectReason.CHALLENGE_FLOOD}
+    assert engine.pending_challenges("alice") == 3
+
+
 def test_bad_credentials_rejected_before_policy(engine):
     decision = engine.authenticate("alice", b"wrong",
                                    RequestedAction.DEFAULT_ACCESS, PLAUSIBLE, NOW)
@@ -275,10 +304,11 @@ def test_wrong_otp_rejected_with_bad_otp(engine):
 def test_escalation_updates_same_session(engine):
     engine.authenticate("alice", b"wonderland", RequestedAction.DEFAULT_ACCESS,
                         PLAUSIBLE, NOW)
-    session = engine.session_for("alice", NOW)
-    original_id = session.session_id
+    original_id = engine.session_for("alice", NOW).session_id
 
-    decision = engine.escalate(session, PLAUSIBLE, NOW)
+    # a one-factor session never covers root, from any context
+    decision = engine.authenticate("alice", b"wonderland",
+                                   RequestedAction.ROOT_ACCESS, OFF_SITE, NOW)
     assert decision.outcome is Outcome.CHALLENGE
     otp = engine.delivery.latest_for("sms:alice")
     outcome = engine.complete_challenge(decision.state_token, otp, NOW)
@@ -297,26 +327,34 @@ def test_escalation_with_two_factors_held_is_immediate(engine):
     otp = engine.delivery.latest_for("sms:alice")
     engine.complete_challenge(decision.state_token, otp, NOW)
 
-    session = engine.session_for("alice", NOW)
-    outcome = engine.escalate(session, OFF_SITE, NOW)
+    outcome = engine.authenticate("alice", b"wonderland",
+                                  RequestedAction.ROOT_ACCESS, OFF_SITE, NOW)
     assert outcome.outcome is Outcome.ACCEPT
     assert outcome.granted_role is Role.ROOT
     assert engine.pending_challenges("alice") == 0
 
 
-def test_escalating_expired_session_rejected(engine):
+def test_escalating_expired_session_starts_a_new_one(engine):
+    """An expired session behaves as absent: a root request is challenged
+    afresh, and completing it creates a new session."""
     engine.authenticate("alice", b"wonderland", RequestedAction.DEFAULT_ACCESS,
                         PLAUSIBLE, NOW)
-    session = engine.session_for("alice", NOW)
+    original_id = engine.session_for("alice", NOW).session_id
     late = NOW + timedelta(hours=9)
-    outcome = engine.escalate(session, PLAUSIBLE, late)
-    assert outcome.reason is RejectReason.SESSION_EXPIRED
-    assert engine.session_for("alice", late) is None
+    decision = engine.authenticate("alice", b"wonderland",
+                                   RequestedAction.ROOT_ACCESS, PLAUSIBLE, late)
+    assert decision.outcome is Outcome.CHALLENGE
+    otp = engine.delivery.latest_for("sms:alice")
+    outcome = engine.complete_challenge(decision.state_token, otp, late)
+    assert outcome.granted_role is Role.ROOT
+    after = engine.session_for("alice", late)
+    assert after.session_id != original_id
+    assert after.factors_verified == 2
 
 
 def test_wire_style_escalation_through_authenticate(engine):
-    """A root request from a user holding a Default session goes through
-    the escalation path: challenge, then the same session is raised."""
+    """A root request from a user holding a one-factor Default session is
+    challenged, then the same session is raised."""
     engine.authenticate("alice", b"wonderland", RequestedAction.DEFAULT_ACCESS,
                         PLAUSIBLE, NOW)
     original_id = engine.session_for("alice", NOW).session_id

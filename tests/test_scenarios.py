@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import socket
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
+import ctxradius
 from ctxradius import wire
 from ctxradius.cli import main, scenario_main
 from ctxradius.scenarios import (
@@ -235,12 +238,16 @@ def test_server_subprocess_lifecycle(tmp_path):
     port = sock.getsockname()[1]
     sock.close()
     config_path = write_demo_fixtures(tmp_path, port=port)
+    # the daemon imports the ctxradius this test imported, installed or not
+    src = str(Path(ctxradius.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
 
     proc = subprocess.Popen(
         [sys.executable, "-c",
          "import sys; from ctxradius.cli import main; sys.exit(main(sys.argv[1:]))",
          "serve", "--config", str(config_path)],
-        stderr=subprocess.PIPE, text=True)
+        stderr=subprocess.PIPE, text=True, env=env)
     try:
         deadline = time.monotonic() + 5
         transcript = None

@@ -15,6 +15,7 @@ from ctxradius.auth import latest_otp
 from ctxradius.context import ConfigError
 from ctxradius.scenarios import DEMO_SECRET, DEMO_USERS, write_demo_fixtures
 from ctxradius.server import (
+    ROLE_NAMES,
     ClientEntry,
     EventLog,
     Server,
@@ -195,6 +196,90 @@ def test_session_reentry_is_single_message(server):
     response = handle(server, access_request(ALICE, ALICE_PW, identifier=2))
     assert response.code is PacketCode.ACCESS_ACCEPT
     assert server.config.delivery_log_path.read_text() == before  # no OTP issued
+
+
+def test_challenge_flood_rejected_with_its_own_reason(tmp_path):
+    events = io.StringIO()
+    config = load_server_config(write_demo_fixtures(tmp_path, port=0))
+    server = Server(config, EventLog(stream=events))
+    codes = [handle(server, access_request(
+        ALICE, ALICE_PW, service_type=wire.SERVICE_ADMINISTRATIVE_USER,
+        identifier=identifier)).code for identifier in range(1, 5)]
+    assert codes == [PacketCode.ACCESS_CHALLENGE] * 3 + [PacketCode.ACCESS_REJECT]
+    _, event, subject, detail = events.getvalue().splitlines()[-1].split("\t")
+    assert (event, subject, detail) == ("reject", ALICE, "ChallengeFloodLimit")
+
+
+# The 2x2 matrix on every request, sessions included.  Sessions are set up
+# and probed an hour before the working day ends, inside the session TTL, so
+# the out-of-hours probe still finds the session live.
+IN_HOURS = datetime.fromisoformat("2026-08-04T17:00:00+00:00")
+OUT_OF_HOURS = datetime.fromisoformat("2026-08-04T18:30:00+00:00")
+OFF_SITE_NAS = "203.0.113.7"
+PROMPT = "one-time password required"
+
+# session state -> (service type, NAS-IP-Address) of the login that sets it
+SESSION_LOGINS = {
+    "none": None,
+    "default/1": (wire.SERVICE_LOGIN_USER, None),
+    "default/2": (wire.SERVICE_LOGIN_USER, OFF_SITE_NAS),
+    "root/2": (wire.SERVICE_ADMINISTRATIVE_USER, None),
+}
+CONTEXTS = {  # context -> (NAS-IP-Address, now)
+    "on site": (None, IN_HOURS),
+    "off site": (OFF_SITE_NAS, IN_HOURS),
+    "out of hours": (None, OUT_OF_HOURS),
+}
+ACCESS = {"default": wire.SERVICE_LOGIN_USER, "root": wire.SERVICE_ADMINISTRATIVE_USER}
+ACCEPT, CHALLENGE = PacketCode.ACCESS_ACCEPT, PacketCode.ACCESS_CHALLENGE
+
+MATRIX_GRID = [
+    # session      context         access     code       Reply-Message
+    ("none",      "on site",      "default", ACCEPT,    "granted: default"),
+    ("none",      "on site",      "root",    CHALLENGE, PROMPT),
+    ("none",      "off site",     "default", CHALLENGE, PROMPT),
+    ("none",      "off site",     "root",    CHALLENGE, PROMPT),
+    ("default/1", "on site",      "default", ACCEPT,    "granted: default"),
+    ("default/1", "on site",      "root",    CHALLENGE, PROMPT),
+    ("default/1", "off site",     "default", CHALLENGE, PROMPT),
+    ("default/1", "off site",     "root",    CHALLENGE, PROMPT),
+    ("default/1", "out of hours", "default", CHALLENGE, PROMPT),
+    ("default/2", "on site",      "default", ACCEPT,    "granted: default"),
+    ("default/2", "on site",      "root",    ACCEPT,    "granted: root"),
+    ("default/2", "off site",     "default", ACCEPT,    "granted: default"),
+    ("default/2", "off site",     "root",    ACCEPT,    "granted: root"),
+    ("root/2",    "on site",      "default", ACCEPT,    "granted: root"),
+    ("root/2",    "on site",      "root",    ACCEPT,    "granted: root"),
+    ("root/2",    "off site",     "default", ACCEPT,    "granted: root"),
+    ("root/2",    "off site",     "root",    ACCEPT,    "granted: root"),
+]
+
+
+@pytest.mark.parametrize("session, context, access, code, reply", MATRIX_GRID,
+                         ids=[f"{row[0]}-{row[1]}-{row[2]}" for row in MATRIX_GRID])
+def test_matrix_holds_with_and_without_a_session(server, session, context, access,
+                                                 code, reply):
+    login = SESSION_LOGINS[session]
+    if login is not None:
+        service_type, nas_ip = login
+        first = server.handle_datagram(access_request(
+            ALICE, ALICE_PW, service_type=service_type, identifier=1, nas_ip=nas_ip),
+            PEER, IN_HOURS)
+        state = wire.decode_packet(first).first(wire.STATE)
+        if state is not None:
+            otp = latest_otp(server.config.delivery_log_path, "sms:alice")
+            server.handle_datagram(access_request(
+                ALICE, otp, service_type=service_type, identifier=2, state=state),
+                PEER, IN_HOURS)
+        held = server.auth.session_for(ALICE, IN_HOURS)
+        assert f"{ROLE_NAMES[held.granted_role]}/{held.factors_verified}" == session
+
+    nas_ip, now = CONTEXTS[context]
+    raw = access_request(ALICE, ALICE_PW, service_type=ACCESS[access],
+                         identifier=3, nas_ip=nas_ip)
+    response = wire.decode_packet(server.handle_datagram(raw, PEER, now))
+    assert response.code is code
+    assert response.first(wire.REPLY_MESSAGE) == reply.encode()
 
 
 def test_no_password_or_otp_in_event_log(tmp_path):
