@@ -1,10 +1,13 @@
 """Authentication flow: first factor, OTP second factor, sessions.
 
-The user store is read-only at runtime.  The challenge and session stores
-are shared mutable state; each decision reads and updates them in one
-critical section under one lock, so a session cannot change between the
-check that it covers a request and the accept, a state token is consumed
-at most once, and attempt counters never race.
+`Authenticator` has two entry points: `authenticate` decides a request
+that carries a password, and issues an OTP challenge when the context
+calls for a second factor; `complete_challenge` decides the OTP leg that
+answers it.  The user store is read-only at runtime.  The challenge and
+session stores are shared mutable state; each decision reads and updates
+them in one critical section under one lock, so a session cannot change
+between the check that it covers a request and the accept, a state token
+is consumed at most once, and attempt counters never race.
 """
 
 from __future__ import annotations
@@ -25,14 +28,6 @@ from .policy import RequestedAction, SecurityLevel, required_security
 OTP_PROMPT = "one-time password required"
 
 _DUMMY_SALT = b"\x00" * 16
-
-
-class AuthError(Exception):
-    pass
-
-
-class ChallengeFloodLimit(AuthError):
-    """User already holds the maximum number of pending challenges."""
 
 
 class Role(IntEnum):
@@ -183,18 +178,11 @@ class DeliveryLog:
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._path.touch(exist_ok=True)
 
-    @property
-    def path(self) -> Path:
-        return self._path
-
     def append(self, instant: datetime, channel: str, otp: str) -> None:
         line = f"{instant.isoformat()}\t{channel}\t{otp}\n"
         with self._lock, open(self._path, "a", encoding="utf-8") as fh:
             fh.write(line)
             fh.flush()
-
-    def latest_for(self, channel: str) -> str | None:
-        return latest_otp(self._path, channel)
 
 
 def latest_otp(path: str | Path, channel: str) -> str | None:
@@ -217,12 +205,6 @@ class AuthPolicy:
     otp_digits: int = 6
     max_pending_per_user: int = 3
     session_ttl_seconds: int = 8 * 3600
-
-
-class _OtpStatus(Enum):
-    OK = "ok"
-    UNKNOWN = "unknown"
-    BAD = "bad"
 
 
 class Authenticator:
@@ -272,43 +254,6 @@ class Authenticator:
 
     # -- OTP challenges ------------------------------------------------------
 
-    def issue_otp_challenge(self, username: str, action: RequestedAction,
-                            now: datetime) -> OtpChallenge:
-        """Register a fresh challenge and write the OTP to the delivery log.
-
-        Caller must have verified the first factor for this exchange.
-        Raises ChallengeFloodLimit past the per-user pending maximum.
-        """
-        record = self.users.get(username)
-        if record is None:
-            raise AuthError(f"no such user {username!r}")
-        with self._lock:
-            challenge = self._register_challenge(username, action, now)
-        if challenge is None:
-            raise ChallengeFloodLimit(f"{username} has too many pending challenges")
-        # outside the lock: file IO; the log is flushed before we return
-        self.delivery.append(now, record.otp_channel, challenge.otp_value)
-        return challenge
-
-    def _register_challenge(self, username: str, action: RequestedAction,
-                            now: datetime) -> OtpChallenge | None:
-        """Store a fresh challenge, or None at the per-user pending maximum.
-        Caller holds the lock and delivers the OTP after releasing it."""
-        self._sweep_challenges(now)
-        pending = sum(1 for c in self._challenges.values() if c.username == username)
-        if pending >= self.policy.max_pending_per_user:
-            return None
-        challenge = OtpChallenge(
-            state_token=secrets.token_bytes(16),
-            otp_value=self._random_otp(),
-            expires_at=now + timedelta(seconds=self.policy.otp_ttl_seconds),
-            attempts_remaining=self.policy.otp_max_attempts,
-            pending_action=action,
-            username=username,
-        )
-        self._challenges[challenge.state_token] = challenge
-        return challenge
-
     def _random_otp(self) -> str:
         digits = self.policy.otp_digits
         return f"{secrets.randbelow(10 ** digits):0{digits}d}"
@@ -317,28 +262,6 @@ class Authenticator:
         dead = [t for t, c in self._challenges.items() if now >= c.expires_at]
         for token in dead:
             del self._challenges[token]
-
-    def _check_otp(self, state_token: bytes, otp: str,
-                   now: datetime) -> tuple[_OtpStatus, OtpChallenge | None]:
-        with self._lock:
-            challenge = self._challenges.get(state_token)
-            if challenge is None:
-                return _OtpStatus.UNKNOWN, None
-            if now >= challenge.expires_at:
-                del self._challenges[state_token]
-                return _OtpStatus.UNKNOWN, None
-            if hmac.compare_digest(otp.encode(), challenge.otp_value.encode()):
-                del self._challenges[state_token]  # single-use
-                return _OtpStatus.OK, challenge
-            challenge.attempts_remaining -= 1
-            if challenge.attempts_remaining <= 0:
-                del self._challenges[state_token]
-            return _OtpStatus.BAD, challenge
-
-    def verify_otp(self, state_token: bytes, otp: str, now: datetime) -> bool:
-        """True only for a live, unconsumed challenge with the right OTP."""
-        status, _ = self._check_otp(state_token, otp, now)
-        return status is _OtpStatus.OK
 
     # -- decision flow -------------------------------------------------------
 
@@ -374,25 +297,47 @@ class Authenticator:
             if level is SecurityLevel.LOW:
                 self._admit(username, role, 1, now)
                 return AuthDecision.accept(role)
-            challenge = self._register_challenge(username, action, now)
-        if challenge is None:
-            return AuthDecision.reject(RejectReason.CHALLENGE_FLOOD)
+            self._sweep_challenges(now)
+            pending = sum(1 for c in self._challenges.values() if c.username == username)
+            if pending >= self.policy.max_pending_per_user:
+                return AuthDecision.reject(RejectReason.CHALLENGE_FLOOD)
+            challenge = OtpChallenge(
+                state_token=secrets.token_bytes(16),
+                otp_value=self._random_otp(),
+                expires_at=now + timedelta(seconds=self.policy.otp_ttl_seconds),
+                attempts_remaining=self.policy.otp_max_attempts,
+                pending_action=action,
+                username=username,
+            )
+            self._challenges[challenge.state_token] = challenge
         # outside the lock: file IO; the log is flushed before we return
         self.delivery.append(now, self.users.get(username).otp_channel, challenge.otp_value)
         return AuthDecision.challenge(challenge.state_token)
 
-    def complete_challenge(self, state_token: bytes, otp: str,
+    def complete_challenge(self, state_token: bytes, otp: str, username: str,
                            now: datetime) -> AuthDecision:
-        """Second leg of a challenged exchange: verify the OTP, then admit."""
-        status, challenge = self._check_otp(state_token, otp, now)
-        if status is _OtpStatus.UNKNOWN:
-            return AuthDecision.reject(RejectReason.UNKNOWN_CHALLENGE)
-        if status is _OtpStatus.BAD:
-            return AuthDecision.reject(RejectReason.BAD_OTP)
-        role = ROLE_FOR_ACTION[challenge.pending_action]
+        """Second leg of a challenged exchange: verify the OTP, then admit.
+
+        A token that is unknown, expired or issued to another user is
+        unknown to this leg, and another user's leg leaves the challenge
+        and its attempts as they were.  A wrong OTP spends one attempt; the
+        last one spent ends the challenge.  A right OTP consumes the token.
+        """
         with self._lock:
-            session = self._admit(challenge.username, role, 2, now)
-        return AuthDecision.accept(session.granted_role)
+            challenge = self._challenges.get(state_token)
+            if challenge is not None and now >= challenge.expires_at:
+                del self._challenges[state_token]
+                challenge = None
+            if challenge is None or challenge.username != username:
+                return AuthDecision.reject(RejectReason.UNKNOWN_CHALLENGE)
+            if not hmac.compare_digest(otp.encode(), challenge.otp_value.encode()):
+                challenge.attempts_remaining -= 1
+                if challenge.attempts_remaining <= 0:
+                    del self._challenges[state_token]
+                return AuthDecision.reject(RejectReason.BAD_OTP)
+            del self._challenges[state_token]  # single-use
+            session = self._admit(username, ROLE_FOR_ACTION[challenge.pending_action], 2, now)
+            return AuthDecision.accept(session.granted_role)
 
     # -- observability for tests and the server -----------------------------
 

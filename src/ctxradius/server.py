@@ -233,22 +233,20 @@ class Server:
                     hidden, client.shared_secret, request.authenticator)
             except WireError:
                 return AuthDecision.reject(RejectReason.MALFORMED_REQUEST), username
-
-        action = self._requested_action(request)
-        source = self._context_source(request, peer)
-        snapshot = snapshot_context(source, now, self.config.context)
+        if username is None or password is None:
+            return AuthDecision.reject(RejectReason.MALFORMED_REQUEST), username
 
         state = request.first(wire.STATE)
         if state is not None:
-            if password is None:
-                return AuthDecision.reject(RejectReason.MALFORMED_REQUEST), username
             try:
                 otp = password.decode("ascii")
             except UnicodeDecodeError:
                 return AuthDecision.reject(RejectReason.BAD_OTP), username
-            return self.auth.complete_challenge(state, otp, now), username
-        if username is None or password is None:
-            return AuthDecision.reject(RejectReason.MALFORMED_REQUEST), username
+            return self.auth.complete_challenge(state, otp, username, now), username
+
+        action = self._requested_action(request)
+        source = self._context_source(request, peer)
+        snapshot = snapshot_context(source, now, self.config.context)
         return self.auth.authenticate(username, password, action, snapshot, now), username
 
     @staticmethod

@@ -109,6 +109,10 @@ def _md5(data: bytes) -> bytes:
     return hashlib.md5(data, usedforsecurity=False).digest()
 
 
+def _xor_block(a: bytes, b: bytes) -> bytes:
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(BLOCK_LEN, "big")
+
+
 @dataclass(frozen=True)
 class Attribute:
     """One type-length-value attribute; unknown types are carried opaquely."""
@@ -161,13 +165,11 @@ def random_authenticator() -> bytes:
 def encode_packet(packet: Packet) -> bytes:
     """Serialise a packet: code(1) id(1) length(2,BE) authenticator(16) attrs.
 
-    Raises AttributeTooLong / PacketTooLong when the result would exceed
-    the wire limits.
+    Raises PacketTooLong when the result would exceed the wire limit; the
+    Attribute itself bounds each value.
     """
     body = b""
     for attr in packet.attributes:
-        if len(attr.value) > MAX_ATTR_VALUE_LEN:
-            raise AttributeTooLong(f"attribute value of {len(attr.value)} octets")
         body += struct.pack("!BB", attr.attr_type, len(attr.value) + 2) + attr.value
     length = HEADER_LEN + len(body)
     if length > MAX_PACKET_LEN:
@@ -190,10 +192,6 @@ def decode_packet(data: bytes) -> Packet:
         raise Truncated(f"declared length {length} is below the header size")
     if len(data) < length:
         raise Truncated(f"{len(data)} octets received, {length} declared")
-    try:
-        code = PacketCode(code)
-    except ValueError:
-        raise UnknownCode(f"packet code {code}") from None
     authenticator = data[4:20]
 
     attributes = []
@@ -207,8 +205,6 @@ def decode_packet(data: bytes) -> Packet:
             raise MalformedAttribute(f"attribute length {attr_len} is below 2")
         if pos + attr_len > length:
             raise MalformedAttribute("attribute overruns the declared packet length")
-        if attr_type == 0:
-            raise MalformedAttribute("attribute type 0 is reserved")
         attributes.append(Attribute(attr_type, data[pos + 2:pos + attr_len]))
         pos += attr_len
 
@@ -240,7 +236,7 @@ def hide_password(plaintext: bytes, secret: bytes, ra: bytes) -> bytes:
     prev = ra
     for i in range(0, len(padded), BLOCK_LEN):
         key = _md5(secret + prev)
-        cipher = bytes(p ^ k for p, k in zip(padded[i:i + BLOCK_LEN], key))
+        cipher = _xor_block(padded[i:i + BLOCK_LEN], key)
         blocks.append(cipher)
         prev = cipher
     return b"".join(blocks)
@@ -261,7 +257,7 @@ def recover_password(hidden: bytes, secret: bytes, ra: bytes) -> bytes:
     for i in range(0, len(hidden), BLOCK_LEN):
         cipher = hidden[i:i + BLOCK_LEN]
         key = _md5(secret + prev)
-        plain += bytes(c ^ k for c, k in zip(cipher, key))
+        plain += _xor_block(cipher, key)
         prev = cipher
     plain = plain.rstrip(b"\x00")
     if not plain:

@@ -243,26 +243,26 @@ def test_server_subprocess_lifecycle(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
 
-    proc = subprocess.Popen(
-        [sys.executable, "-c",
-         "import sys; from ctxradius.cli import main; sys.exit(main(sys.argv[1:]))",
-         "serve", "--config", str(config_path)],
-        stderr=subprocess.PIPE, text=True, env=env)
-    try:
-        deadline = time.monotonic() + 5
-        transcript = None
-        while time.monotonic() < deadline:
-            transcript = run_scenario(SCRIPTS["S1"], ("127.0.0.1", port),
-                                      DEMO_SECRET, tmp_path / "otp-delivery.log",
-                                      timeout_ms=300)
-            if transcript.verdict:
-                break
-        assert transcript is not None and transcript.verdict, transcript.failure
-    finally:
-        proc.terminate()
+    with subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from ctxradius.cli import main; sys.exit(main(sys.argv[1:]))",
+             "serve", "--config", str(config_path)],
+            stderr=subprocess.PIPE, text=True, env=env) as proc:
         try:
-            proc.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            raise
+            deadline = time.monotonic() + 5
+            transcript = None
+            while time.monotonic() < deadline:
+                transcript = run_scenario(SCRIPTS["S1"], ("127.0.0.1", port),
+                                          DEMO_SECRET, tmp_path / "otp-delivery.log",
+                                          timeout_ms=300)
+                if transcript.verdict:
+                    break
+            assert transcript is not None and transcript.verdict, transcript.failure
+        finally:
+            proc.terminate()
+            try:
+                proc.communicate(timeout=5)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                raise
     assert proc.returncode == 0

@@ -34,12 +34,12 @@ def server(tmp_path):
     return Server(config, EventLog(stream=io.StringIO()))
 
 
-def access_request(username: str, password: str, secret: bytes = DEMO_SECRET,
+def access_request(username: str | None, password: str, secret: bytes = DEMO_SECRET,
                    service_type: int | None = wire.SERVICE_LOGIN_USER,
                    identifier: int = 1, nas_ip: str | None = None,
                    state: bytes | None = None, ra: bytes | None = None) -> bytes:
     ra = ra or wire.random_authenticator()
-    attrs = [Attribute(wire.USER_NAME, username.encode())]
+    attrs = [] if username is None else [Attribute(wire.USER_NAME, username.encode())]
     if password:
         attrs.append(Attribute(
             wire.USER_PASSWORD, wire.hide_password(password.encode(), secret, ra)))
@@ -82,6 +82,37 @@ def test_root_request_challenged_then_accepted(server):
         identifier=2, state=state))
     assert second.code is PacketCode.ACCESS_ACCEPT
     assert second.first(wire.REPLY_MESSAGE) == b"granted: root"
+
+
+def test_otp_leg_bound_to_its_user_name(tmp_path):
+    """A State token and its OTP complete only the leg that names the user
+    they were issued to; other legs leave the challenge live."""
+    events = io.StringIO()
+    config = load_server_config(write_demo_fixtures(tmp_path, port=0))
+    server = Server(config, EventLog(stream=events))
+    admin = wire.SERVICE_ADMINISTRATIVE_USER
+    first = handle(server, access_request(ALICE, ALICE_PW, service_type=admin, identifier=1))
+    assert first.code is PacketCode.ACCESS_CHALLENGE
+    state = first.first(wire.STATE)
+    otp = latest_otp(config.delivery_log_path, "sms:alice")
+
+    def last_event():
+        return events.getvalue().splitlines()[-1].split("\t")[1:]
+
+    nameless = handle(server, access_request(
+        None, otp, service_type=admin, identifier=2, state=state))
+    assert nameless.code is PacketCode.ACCESS_REJECT
+    assert last_event() == ["reject", "127.0.0.1", "MalformedRequest"]
+    bobs = handle(server, access_request(
+        "bob", otp, service_type=admin, identifier=3, state=state))
+    assert bobs.code is PacketCode.ACCESS_REJECT
+    assert last_event() == ["reject", "bob", "UnknownChallenge"]
+    assert server.auth.session_for("bob", server.clock()) is None
+
+    alices = handle(server, access_request(
+        ALICE, otp, service_type=admin, identifier=4, state=state))
+    assert alices.code is PacketCode.ACCESS_ACCEPT
+    assert last_event() == ["accept", ALICE, "granted: root"]
 
 
 def test_claimed_offsite_source_challenged(server):
