@@ -8,6 +8,13 @@ session stores are shared mutable state; each decision reads and updates
 them in one critical section under one lock, so a session cannot change
 between the check that it covers a request and the accept, a state token
 is consumed at most once, and attempt counters never race.
+
+Both stores are keyed by username, so no decision reads another user's
+entries.  A challenge is registered only after the first factor passes,
+and a user's expired challenges are dropped when that user is next
+challenged; the challenge store therefore holds at most
+`max_pending_per_user` entries per user in the user store, as the session
+store holds at most one.
 """
 
 from __future__ import annotations
@@ -157,13 +164,10 @@ class OtpChallenge:
     expires_at: datetime
     attempts_remaining: int
     pending_action: RequestedAction
-    username: str
 
 
 @dataclass
 class Session:
-    session_id: str
-    username: str
     granted_role: Role
     factors_verified: int
     expires_at: datetime
@@ -216,7 +220,7 @@ class Authenticator:
         self.delivery = delivery
         self.policy = policy or AuthPolicy()
         self._lock = threading.Lock()
-        self._challenges: dict[bytes, OtpChallenge] = {}
+        self._challenges: dict[str, dict[bytes, OtpChallenge]] = {}  # by username, token
         self._sessions: dict[str, Session] = {}  # one per username
 
     # -- session helpers ---------------------------------------------------
@@ -240,8 +244,6 @@ class Authenticator:
         session = self._live_session(username, now)
         if session is None:
             session = Session(
-                session_id=secrets.token_urlsafe(16),
-                username=username,
                 granted_role=role,
                 factors_verified=factors,
                 expires_at=now + timedelta(seconds=self.policy.session_ttl_seconds),
@@ -257,11 +259,6 @@ class Authenticator:
     def _random_otp(self) -> str:
         digits = self.policy.otp_digits
         return f"{secrets.randbelow(10 ** digits):0{digits}d}"
-
-    def _sweep_challenges(self, now: datetime) -> None:
-        dead = [t for t, c in self._challenges.items() if now >= c.expires_at]
-        for token in dead:
-            del self._challenges[token]
 
     # -- decision flow -------------------------------------------------------
 
@@ -297,9 +294,10 @@ class Authenticator:
             if level is SecurityLevel.LOW:
                 self._admit(username, role, 1, now)
                 return AuthDecision.accept(role)
-            self._sweep_challenges(now)
-            pending = sum(1 for c in self._challenges.values() if c.username == username)
-            if pending >= self.policy.max_pending_per_user:
+            pending = self._challenges[username] = {
+                t: c for t, c in self._challenges.get(username, {}).items()
+                if now < c.expires_at}
+            if len(pending) >= self.policy.max_pending_per_user:
                 return AuthDecision.reject(RejectReason.CHALLENGE_FLOOD)
             challenge = OtpChallenge(
                 state_token=secrets.token_bytes(16),
@@ -307,9 +305,8 @@ class Authenticator:
                 expires_at=now + timedelta(seconds=self.policy.otp_ttl_seconds),
                 attempts_remaining=self.policy.otp_max_attempts,
                 pending_action=action,
-                username=username,
             )
-            self._challenges[challenge.state_token] = challenge
+            pending[challenge.state_token] = challenge
         # outside the lock: file IO; the log is flushed before we return
         self.delivery.append(now, self.users.get(username).otp_channel, challenge.otp_value)
         return AuthDecision.challenge(challenge.state_token)
@@ -318,29 +315,29 @@ class Authenticator:
                            now: datetime) -> AuthDecision:
         """Second leg of a challenged exchange: verify the OTP, then admit.
 
-        A token that is unknown, expired or issued to another user is
-        unknown to this leg, and another user's leg leaves the challenge
-        and its attempts as they were.  A wrong OTP spends one attempt; the
-        last one spent ends the challenge.  A right OTP consumes the token.
+        A token is looked up only among the named user's challenges, so a
+        token that is unknown, expired or issued to another user is unknown
+        to this leg, and another user's leg leaves the challenge and its
+        attempts as they were.  A wrong OTP spends one attempt; the last one
+        spent ends the challenge.  A right OTP consumes the token.
         """
         with self._lock:
-            challenge = self._challenges.get(state_token)
-            if challenge is not None and now >= challenge.expires_at:
-                del self._challenges[state_token]
-                challenge = None
-            if challenge is None or challenge.username != username:
+            pending = self._challenges.get(username, {})
+            challenge = pending.get(state_token)
+            if challenge is None or now >= challenge.expires_at:
+                pending.pop(state_token, None)
                 return AuthDecision.reject(RejectReason.UNKNOWN_CHALLENGE)
             if not hmac.compare_digest(otp.encode(), challenge.otp_value.encode()):
                 challenge.attempts_remaining -= 1
                 if challenge.attempts_remaining <= 0:
-                    del self._challenges[state_token]
+                    del pending[state_token]
                 return AuthDecision.reject(RejectReason.BAD_OTP)
-            del self._challenges[state_token]  # single-use
+            del pending[state_token]  # single-use
             session = self._admit(username, ROLE_FOR_ACTION[challenge.pending_action], 2, now)
             return AuthDecision.accept(session.granted_role)
 
-    # -- observability for tests and the server -----------------------------
+    # -- observability for tests ---------------------------------------------
 
     def pending_challenges(self, username: str) -> int:
         with self._lock:
-            return sum(1 for c in self._challenges.values() if c.username == username)
+            return len(self._challenges.get(username, {}))

@@ -52,9 +52,6 @@ class ClientEntry:
         if not self.shared_secret:
             raise ConfigError("client shared secret must not be empty")
 
-    def matches(self, peer: IPv4Address) -> bool:
-        return peer in self.network
-
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -210,7 +207,7 @@ class Server:
 
     def _client_for(self, peer: IPv4Address) -> ClientEntry | None:
         for entry in self.config.clients:
-            if entry.matches(peer):
+            if peer in entry.network:
                 return entry
         return None
 
@@ -238,10 +235,8 @@ class Server:
 
         state = request.first(wire.STATE)
         if state is not None:
-            try:
-                otp = password.decode("ascii")
-            except UnicodeDecodeError:
-                return AuthDecision.reject(RejectReason.BAD_OTP), username
+            # A non-ASCII OTP cannot match; it still spends an attempt.
+            otp = password.decode("ascii", "replace")
             return self.auth.complete_challenge(state, otp, username, now), username
 
         action = self._requested_action(request)

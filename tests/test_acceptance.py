@@ -202,7 +202,7 @@ def test_criterion_4_escalation_updates_same_session(direct_server):
     assert accept.code is PacketCode.ACCESS_ACCEPT
     session = server.auth.session_for(username, server.clock())
     assert session.factors_verified == 1
-    original_id = session.session_id
+    original = session
     log_lines_before = server.config.delivery_log_path.read_text().count("\n")
 
     challenge = _handle(server, _request(username, password, root=True, identifier=2))
@@ -217,7 +217,7 @@ def test_criterion_4_escalation_updates_same_session(direct_server):
     assert accept.first(wire.REPLY_MESSAGE) == b"granted: root"
 
     session = server.auth.session_for(username, server.clock())
-    assert session.session_id == original_id
+    assert session is original
     assert session.granted_role is Role.ROOT
     assert session.factors_verified == 2
     assert time.monotonic() - started < 2.0

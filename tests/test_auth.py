@@ -402,7 +402,7 @@ def test_wrong_otp_rejected_with_bad_otp(engine, log):
 def test_escalation_updates_same_session(engine, log):
     engine.authenticate("alice", b"wonderland", RequestedAction.DEFAULT_ACCESS,
                         PLAUSIBLE, NOW)
-    original_id = engine.session_for("alice", NOW).session_id
+    original = engine.session_for("alice", NOW)
 
     # a one-factor session never covers root, from any context
     decision = engine.authenticate("alice", b"wonderland",
@@ -413,7 +413,7 @@ def test_escalation_updates_same_session(engine, log):
     assert outcome.granted_role is Role.ROOT
 
     after = engine.session_for("alice", NOW)
-    assert after.session_id == original_id
+    assert after is original
     assert after.granted_role is Role.ROOT
     assert after.factors_verified == 2
 
@@ -437,7 +437,7 @@ def test_escalating_expired_session_starts_a_new_one(engine, log):
     afresh, and completing it creates a new session."""
     engine.authenticate("alice", b"wonderland", RequestedAction.DEFAULT_ACCESS,
                         PLAUSIBLE, NOW)
-    original_id = engine.session_for("alice", NOW).session_id
+    original = engine.session_for("alice", NOW)
     late = NOW + timedelta(hours=9)
     decision = engine.authenticate("alice", b"wonderland",
                                    RequestedAction.ROOT_ACCESS, PLAUSIBLE, late)
@@ -446,7 +446,7 @@ def test_escalating_expired_session_starts_a_new_one(engine, log):
     outcome = engine.complete_challenge(decision.state_token, otp, "alice", late)
     assert outcome.granted_role is Role.ROOT
     after = engine.session_for("alice", late)
-    assert after.session_id != original_id
+    assert after is not original
     assert after.factors_verified == 2
 
 
@@ -455,14 +455,14 @@ def test_wire_style_escalation_through_authenticate(engine, log):
     challenged, then the same session is raised."""
     engine.authenticate("alice", b"wonderland", RequestedAction.DEFAULT_ACCESS,
                         PLAUSIBLE, NOW)
-    original_id = engine.session_for("alice", NOW).session_id
+    original = engine.session_for("alice", NOW)
     decision = engine.authenticate("alice", b"wonderland",
                                    RequestedAction.ROOT_ACCESS, PLAUSIBLE, NOW)
     assert decision.outcome is Outcome.CHALLENGE
     otp = latest_otp(log, "sms:alice")
     outcome = engine.complete_challenge(decision.state_token, otp, "alice", NOW)
     assert outcome.granted_role is Role.ROOT
-    assert engine.session_for("alice", NOW).session_id == original_id
+    assert engine.session_for("alice", NOW) is original
 
 
 def test_root_session_reentry_covers_default(engine, log):

@@ -240,6 +240,36 @@ def test_challenge_flood_rejected_with_its_own_reason(tmp_path):
     _, event, subject, detail = events.getvalue().splitlines()[-1].split("\t")
     assert (event, subject, detail) == ("reject", ALICE, "ChallengeFloodLimit")
 
+    # expired challenges stop counting toward the limit
+    expired = server.clock() + timedelta(seconds=config.auth_policy.otp_ttl_seconds)
+    response = server.handle_datagram(access_request(
+        ALICE, ALICE_PW, service_type=wire.SERVICE_ADMINISTRATIVE_USER,
+        identifier=5), PEER, expired)
+    assert wire.decode_packet(response).code is PacketCode.ACCESS_CHALLENGE
+
+
+def test_non_ascii_otp_counts_as_a_wrong_otp(tmp_path):
+    """A non-ASCII OTP leg reaches the challenge: it spends an attempt like
+    any wrong OTP, and with an unknown State it is an unknown challenge."""
+    events = io.StringIO()
+    config = load_server_config(write_demo_fixtures(tmp_path, port=0))
+    server = Server(config, EventLog(stream=events))
+    admin = wire.SERVICE_ADMINISTRATIVE_USER
+    first = handle(server, access_request(ALICE, ALICE_PW, service_type=admin, identifier=1))
+    state = first.first(wire.STATE)
+    otp = latest_otp(config.delivery_log_path, "sms:alice")
+
+    def leg(password: str, identifier: int, state: bytes) -> list[str]:
+        response = handle(server, access_request(
+            ALICE, password, service_type=admin, identifier=identifier, state=state))
+        assert response.code is PacketCode.ACCESS_REJECT
+        return events.getvalue().splitlines()[-1].split("\t")[1:]
+
+    for identifier in range(2, 2 + config.auth_policy.otp_max_attempts):
+        assert leg("\u00e9\u00e9", identifier, state) == ["reject", ALICE, "BadOtp"]
+    assert leg(otp, 10, state) == ["reject", ALICE, "UnknownChallenge"]
+    assert leg("\u00e9\u00e9", 11, bytes(16)) == ["reject", ALICE, "UnknownChallenge"]
+
 
 # The 2x2 matrix on every request, sessions included.  Sessions are set up
 # and probed an hour before the working day ends, inside the session TTL, so
