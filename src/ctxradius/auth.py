@@ -157,7 +157,7 @@ def verify_first_factor(username: str, password: bytes, store: UserStore) -> boo
     return hmac.compare_digest(candidate, record.password_digest)
 
 
-@dataclass
+@dataclass(slots=True)
 class OtpChallenge:
     state_token: bytes
     otp_value: str
@@ -166,7 +166,7 @@ class OtpChallenge:
     pending_action: RequestedAction
 
 
-@dataclass
+@dataclass(slots=True)
 class Session:
     granted_role: Role
     factors_verified: int

@@ -4,12 +4,18 @@ Ties the codec, context, policy and auth layers together.  Datagrams from
 unknown peers and undecodable packets are dropped without a reply; every
 in-protocol failure is answered with an Access-Reject carrying a uniform
 message, so the wire never discloses whether a username exists.
+
+The dedup cache is two generations of at most `DEDUP_GENERATION` entries
+each, so a lookup and an insert cost the same at any table size and the
+cache never holds more than twice that many responses.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import socket
+import struct
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -35,6 +41,15 @@ from .wire import Attribute, Packet, PacketCode, WireError
 
 REJECT_MESSAGE = b"access denied"
 ROLE_NAMES = {Role.DEFAULT: "default", Role.ROOT: "root"}
+
+# Entries per dedup generation; two generations bound the cache at 16384
+# entries, FreeRADIUS's default max_requests.
+DEDUP_GENERATION = 8192
+# A dedup entry is one bytes value: stored-at instant, request authenticator,
+# response.  The instant is integer microseconds, so the window edge is exact.
+_STAMP = struct.Struct("<q")
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 
 class ServerStartupError(Exception):
@@ -68,6 +83,11 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if not self.clients:
             raise ConfigError("at least one client entry is required")
+        window = self.dedup_window_seconds
+        if (isinstance(window, bool) or not isinstance(window, (int, float))
+                or not 0 < window < math.inf):
+            raise ConfigError(
+                f"dedup_window_seconds must be a positive number, got {window!r}")
 
 
 def load_server_config(path: str | Path) -> ServerConfig:
@@ -121,13 +141,6 @@ class EventLog:
             self._stream.flush()
 
 
-@dataclass(slots=True)
-class _DedupEntry:
-    request_authenticator: bytes
-    stored_at: datetime
-    response: bytes
-
-
 class Server:
     """Datagram handler plus the optional UDP serving loop around it."""
 
@@ -144,12 +157,17 @@ class Server:
         self.config = config
         self.auth = Authenticator(users, delivery, config.auth_policy)
         self.events = event_log or EventLog()
-        # Keyed on (peer, port, identifier) packed into one int: live entries
-        # set peak memory, and a tuple key costs about 150 B more per entry.
+        # Keyed on (peer, port, identifier) packed into one int, each value one
+        # packed bytes: live entries set peak memory.  `_dedup` holds entries
+        # stored since `_dedup_since`, `_dedup_old` the generation before it,
+        # so dropping `_dedup_old` once `_dedup_since` is past the window
+        # drops only expired entries.
         # Lock order: dedup, auth, delivery log, event log; none in reverse.
-        self._dedup: dict[int, _DedupEntry] = {}
+        self._dedup: dict[int, bytes] = {}
+        self._dedup_old: dict[int, bytes] = {}
+        self._dedup_since = 0
         self._dedup_lock = threading.Lock()
-        self._dedup_window = timedelta(seconds=config.dedup_window_seconds)
+        self._dedup_window_us = round(config.dedup_window_seconds * 1_000_000)
         self._socket: socket.socket | None = None
         self._stop = threading.Event()
         if config.clock_override is not None:
@@ -180,20 +198,23 @@ class Server:
             return None
 
         key = int(peer) << 24 | port << 8 | request.identifier
-        cutoff = now - self._dedup_window
+        stamp = _stamp(now)
+        cutoff = stamp - self._dedup_window_us
         with self._dedup_lock:
-            cached = self._dedup.get(key)
-            if cached is not None and cached.stored_at > cutoff:
-                if cached.request_authenticator == request.authenticator:
+            # the current generation holds the newer entry; a value is never empty
+            cached = self._dedup.get(key) or self._dedup_old.get(key)
+            if cached and _STAMP.unpack_from(cached)[0] > cutoff:
+                if cached[8:24] == request.authenticator:
                     self.events.log(now, "replay", str(peer), f"id={request.identifier}")
-                    return cached.response
+                    return cached[24:]
                 self.events.log(now, "drop", str(peer),
                                 f"duplicate id={request.identifier} in dedup window")
                 return None
-            self._dedup_evict(cutoff)  # replays and drops add nothing, so skip it
             decision, username = self._decide(request, client, peer, now)
             response = self._render(decision, request, client.shared_secret)
-            self._dedup[key] = _DedupEntry(request.authenticator, now, response)
+            if self._dedup_since <= cutoff or len(self._dedup) >= DEDUP_GENERATION:
+                self._dedup_old, self._dedup, self._dedup_since = self._dedup, {}, stamp
+            self._dedup[key] = _STAMP.pack(stamp) + request.authenticator + response
 
         subject = username or str(peer)
         if decision.outcome is Outcome.ACCEPT:
@@ -277,13 +298,6 @@ class Server:
             wire.encode_packet(Packet(code, request.identifier, bytes(16), attrs)),
             request.authenticator, secret)
 
-    # -- duplicate suppression -------------------------------------------------
-
-    def _dedup_evict(self, cutoff: datetime) -> None:
-        stale = [k for k, e in self._dedup.items() if e.stored_at <= cutoff]
-        for key in stale:
-            del self._dedup[key]
-
     # -- UDP lifecycle ---------------------------------------------------------
 
     def bind(self) -> None:
@@ -341,6 +355,13 @@ class Server:
 
     def shutdown(self) -> None:
         self._stop.set()
+
+
+def _stamp(now: datetime) -> int:
+    """`now` in integer microseconds since the epoch; naive instants count as UTC."""
+    if now.tzinfo is None:
+        now = now.replace(tzinfo=timezone.utc)
+    return (now - _EPOCH) // _MICROSECOND
 
 
 def run_server(config: ServerConfig) -> None:

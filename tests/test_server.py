@@ -10,6 +10,7 @@ from ipaddress import IPv4Address
 
 import pytest
 
+from ctxradius import server as server_module
 from ctxradius import wire
 from ctxradius.auth import latest_otp
 from ctxradius.context import ConfigError
@@ -212,13 +213,71 @@ def test_concurrent_copies_of_one_request_get_one_decision(server):
     assert server.auth.pending_challenges(ALICE) == 1
 
 
-def test_dedup_window_expires(server):
+def last_event(events: io.StringIO) -> str:
+    return events.getvalue().splitlines()[-1].split("\t")[1]
+
+
+def test_dedup_window_expires(tmp_path):
+    """An entry is live while stored_at > now - window: a retransmission
+    1 us inside the window is replayed, one at the window edge is decided
+    anew, and a new packet with the identifier after the window too."""
+    events = io.StringIO()
+    config = load_server_config(write_demo_fixtures(tmp_path, port=0))
+    server = Server(config, EventLog(stream=events))
+    window = timedelta(seconds=config.dedup_window_seconds)
     now = server.clock()
-    assert server.handle_datagram(
-        access_request(ALICE, ALICE_PW, identifier=9), PEER, now) is not None
-    later = now + timedelta(seconds=31)
+    raw = access_request(ALICE, ALICE_PW, identifier=9)
+    first = server.handle_datagram(raw, PEER, now)
+    edge = now + window
+    assert server.handle_datagram(raw, PEER, edge - timedelta(microseconds=1)) == first
+    assert last_event(events) == "replay"
+    assert server.handle_datagram(raw, PEER, edge) == first
+    assert last_event(events) == "accept"
+    later = edge + timedelta(seconds=31)
     assert server.handle_datagram(
         access_request(ALICE, ALICE_PW, identifier=9), PEER, later) is not None
+    assert last_event(events) == "accept"
+
+
+def test_dedup_entry_outlives_a_time_rotation(tmp_path):
+    """An entry cached 20 s before the current generation started is still
+    answered from the previous generation until its own window ends."""
+    events = io.StringIO()
+    config = load_server_config(write_demo_fixtures(tmp_path, port=0))
+    server = Server(config, EventLog(stream=events))
+    start = server.clock()
+    server.handle_datagram(access_request(ALICE, ALICE_PW, identifier=1), PEER, start)
+    raw = access_request(ALICE, ALICE_PW, identifier=2)
+    cached_at = start + timedelta(seconds=15)
+    first = server.handle_datagram(raw, PEER, cached_at)
+    rotated_at = cached_at + timedelta(seconds=20)  # past the first generation's window
+    server.handle_datagram(access_request(ALICE, ALICE_PW, identifier=3), PEER, rotated_at)
+    assert len(server._dedup) == 1 and len(server._dedup_old) == 2
+
+    later = rotated_at + timedelta(seconds=5)
+    assert server.handle_datagram(raw, PEER, later) == first
+    assert last_event(events) == "replay"
+    assert server.handle_datagram(
+        access_request(ALICE, ALICE_PW, identifier=2), PEER, later) is None
+    assert last_event(events) == "drop"
+
+
+def test_dedup_cache_is_bounded(tmp_path, monkeypatch):
+    """Two generations of DEDUP_GENERATION entries bound the cache; the
+    newest entries still replay and an evicted one is decided anew."""
+    monkeypatch.setattr(server_module, "DEDUP_GENERATION", 4)
+    events = io.StringIO()
+    config = load_server_config(write_demo_fixtures(tmp_path, port=0))
+    server = Server(config, EventLog(stream=events))
+    now = server.clock()
+    raws = [access_request(ALICE, ALICE_PW, identifier=i) for i in range(13)]
+    firsts = [server.handle_datagram(raw, PEER, now) for raw in raws]
+    assert len(server._dedup) + len(server._dedup_old) <= 8
+    for raw, first in zip(raws[-4:], firsts[-4:]):
+        assert server.handle_datagram(raw, PEER, now) == first
+        assert last_event(events) == "replay"
+    assert server.handle_datagram(raws[0], PEER, now) == firsts[0]
+    assert last_event(events) == "accept"
 
 
 def test_session_reentry_is_single_message(server):
@@ -384,6 +443,18 @@ def test_client_table_requires_entries(tmp_path):
     raw["clients"] = []
     config_path.write_text(json.dumps(raw))
     with pytest.raises(ConfigError):
+        load_server_config(config_path)
+
+
+@pytest.mark.parametrize("window", ["30", 0, -5, True, float("inf")])
+def test_dedup_window_must_be_a_positive_number(tmp_path, window):
+    import json
+
+    config_path = write_demo_fixtures(tmp_path, port=0)
+    raw = json.loads(config_path.read_text())
+    raw["dedup_window_seconds"] = window
+    config_path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match="dedup_window_seconds"):
         load_server_config(config_path)
 
 
