@@ -3,7 +3,8 @@
 `Authenticator` has two entry points: `authenticate` decides a request
 that carries a password, and issues an OTP challenge when the context
 calls for a second factor; `complete_challenge` decides the OTP leg that
-answers it.  The user store is read-only at runtime.  The challenge and
+answers it.  The caller judges the request's context and passes the
+verdict in.  The user store is read-only at runtime.  The challenge and
 session stores are shared mutable state; each decision reads and updates
 them in one critical section under one lock, so a session cannot change
 between the check that it covers a request and the accept, a state token
@@ -13,7 +14,7 @@ Both stores are keyed by username, so no decision reads another user's
 entries.  A challenge is registered only after the first factor passes,
 and a user's expired challenges are dropped when that user is next
 challenged; the challenge store therefore holds at most
-`max_pending_per_user` entries per user in the user store, as the session
+`MAX_PENDING_PER_USER` entries per user in the user store, as the session
 store holds at most one.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
+import math
 import secrets
 import threading
 from dataclasses import dataclass
@@ -29,16 +31,17 @@ from datetime import datetime, timedelta
 from enum import Enum, IntEnum
 from pathlib import Path
 
-from .context import ContextSnapshot, evaluate_plausibility
+from .context import ContextVerdict, require_number
 from .policy import RequestedAction, SecurityLevel, required_security
+from .wire import MAX_PASSWORD_LEN
 
-OTP_PROMPT = "one-time password required"
+# Live challenges one user may hold; a High request past it is rejected.
+MAX_PENDING_PER_USER = 3
 
 _DUMMY_SALT = b"\x00" * 16
 
 
 class Role(IntEnum):
-    NONE = 0
     DEFAULT = 1
     ROOT = 2
 
@@ -68,7 +71,6 @@ class AuthDecision:
     outcome: Outcome
     granted_role: Role | None = None
     state_token: bytes | None = None
-    prompt: str | None = None
     reason: RejectReason | None = None
 
     @classmethod
@@ -76,8 +78,8 @@ class AuthDecision:
         return cls(Outcome.ACCEPT, granted_role=role)
 
     @classmethod
-    def challenge(cls, state_token: bytes, prompt: str = OTP_PROMPT) -> AuthDecision:
-        return cls(Outcome.CHALLENGE, state_token=state_token, prompt=prompt)
+    def challenge(cls, state_token: bytes) -> AuthDecision:
+        return cls(Outcome.CHALLENGE, state_token=state_token)
 
     @classmethod
     def reject(cls, reason: RejectReason) -> AuthDecision:
@@ -207,8 +209,17 @@ class AuthPolicy:
     otp_ttl_seconds: int = 120
     otp_max_attempts: int = 3
     otp_digits: int = 6
-    max_pending_per_user: int = 3
     session_ttl_seconds: int = 8 * 3600
+
+    def __post_init__(self) -> None:
+        for name in ("otp_ttl_seconds", "session_ttl_seconds"):
+            require_number(name, getattr(self, name), (int, float), 0, math.inf,
+                           "a positive number")
+        require_number("otp_max_attempts", self.otp_max_attempts, (int,), 0, math.inf,
+                       "a positive int")
+        # the OTP travels in User-Password
+        require_number("otp_digits", self.otp_digits, (int,), 0, MAX_PASSWORD_LEN + 1,
+                       f"an int from 1 to {MAX_PASSWORD_LEN}")
 
 
 class Authenticator:
@@ -263,10 +274,10 @@ class Authenticator:
     # -- decision flow -------------------------------------------------------
 
     def authenticate(self, username: str, password: bytes, action: RequestedAction,
-                     snapshot: ContextSnapshot, now: datetime) -> AuthDecision:
+                     verdict: ContextVerdict, now: datetime) -> AuthDecision:
         """One pass of the decision flow for a credentials-bearing request.
 
-        After the first factor passes, the context and action set the
+        After the first factor passes, the context verdict and action set the
         required level.  A live session covers the request when its factors
         meet that level and it already holds the role or holds two factors;
         the role is then raised in place.  Otherwise a Low request is
@@ -283,7 +294,7 @@ class Authenticator:
             return AuthDecision.reject(RejectReason.BAD_CREDENTIALS)
 
         role = ROLE_FOR_ACTION[action]
-        level = required_security(evaluate_plausibility(snapshot), action)
+        level = required_security(verdict, action)
         with self._lock:
             session = self._live_session(username, now)
             if (session is not None
@@ -297,7 +308,7 @@ class Authenticator:
             pending = self._challenges[username] = {
                 t: c for t, c in self._challenges.get(username, {}).items()
                 if now < c.expires_at}
-            if len(pending) >= self.policy.max_pending_per_user:
+            if len(pending) >= MAX_PENDING_PER_USER:
                 return AuthDecision.reject(RejectReason.CHALLENGE_FLOOD)
             challenge = OtpChallenge(
                 state_token=secrets.token_bytes(16),
@@ -335,9 +346,3 @@ class Authenticator:
             del pending[state_token]  # single-use
             session = self._admit(username, ROLE_FOR_ACTION[challenge.pending_action], 2, now)
             return AuthDecision.accept(session.granted_role)
-
-    # -- observability for tests ---------------------------------------------
-
-    def pending_challenges(self, username: str) -> int:
-        with self._lock:
-            return len(self._challenges.get(username, {}))

@@ -1,7 +1,9 @@
 """Situational context of a request: clock and source network checks.
 
-A snapshot of (time, source address) is judged against configured working
-hours and trusted networks; both checks are pure and deterministic.
+`evaluate_plausibility` judges a request's instant and source address
+against the configured working hours and trusted networks.  Both checks are
+pure and deterministic, and the answer is one of four shared, frozen
+verdicts.
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ WEEKDAYS = {
 
 class ConfigError(ValueError):
     pass
+
+
+def require_number(name: str, value: object, kinds: tuple[type, ...],
+                   low: float, high: float, rule: str) -> None:
+    """Raise ConfigError unless `value` is an instance of `kinds` strictly
+    between `low` and `high`; a bool is neither an int nor a float."""
+    if isinstance(value, bool) or not isinstance(value, kinds) or not low < value < high:
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 
 class ImplausibilityReason(Enum):
@@ -74,16 +84,6 @@ class ContextConfig:
 
 
 @dataclass(frozen=True)
-class ContextSnapshot:
-    """Immutable facts about one request, taken at handling time."""
-
-    timestamp: datetime
-    source_address: IPv4Address
-    in_working_hours: bool
-    on_site: bool
-
-
-@dataclass(frozen=True)
 class ContextVerdict:
     plausible: bool
     reasons: frozenset[ImplausibilityReason]
@@ -91,6 +91,18 @@ class ContextVerdict:
     def __post_init__(self) -> None:
         if self.plausible != (not self.reasons):
             raise ValueError("plausible verdicts carry no reasons and vice versa")
+
+
+# The four verdicts, by (in working hours, on site).  They are frozen, so
+# every request shares them.
+_OUTSIDE_HOURS = ImplausibilityReason.OUTSIDE_WORKING_HOURS
+_OFF_SITE = ImplausibilityReason.OFF_SITE
+_VERDICTS = {
+    (True, True): ContextVerdict(True, frozenset()),
+    (False, True): ContextVerdict(False, frozenset({_OUTSIDE_HOURS})),
+    (True, False): ContextVerdict(False, frozenset({_OFF_SITE})),
+    (False, False): ContextVerdict(False, frozenset({_OUTSIDE_HOURS, _OFF_SITE})),
+}
 
 
 def _parse_hhmm(text: str) -> time:
@@ -112,9 +124,9 @@ def parse_utc_offset(text: str) -> timezone:
     return timezone(-delta if text[0] == "-" else delta)
 
 
-def snapshot_context(source_address: IPv4Address, now: datetime,
-                     config: ContextConfig) -> ContextSnapshot:
-    """Classify a request instant and source address.
+def evaluate_plausibility(source_address: IPv4Address, now: datetime,
+                          config: ContextConfig) -> ContextVerdict:
+    """A request is plausible iff it is in working hours AND on site.
 
     Aware instants are converted to the configured offset; naive ones are
     taken to be in it already.
@@ -128,14 +140,4 @@ def snapshot_context(source_address: IPv4Address, now: datetime,
         and config.day_start <= local.time() < config.day_end
     )
     on_site = any(source_address in net for net in config.trusted_networks)
-    return ContextSnapshot(now, source_address, in_hours, on_site)
-
-
-def evaluate_plausibility(snapshot: ContextSnapshot) -> ContextVerdict:
-    """A situation is plausible iff it is in working hours AND on site."""
-    reasons = set()
-    if not snapshot.in_working_hours:
-        reasons.add(ImplausibilityReason.OUTSIDE_WORKING_HOURS)
-    if not snapshot.on_site:
-        reasons.add(ImplausibilityReason.OFF_SITE)
-    return ContextVerdict(plausible=not reasons, reasons=frozenset(reasons))
+    return _VERDICTS[in_hours, on_site]

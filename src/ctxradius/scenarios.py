@@ -12,7 +12,6 @@ import json
 import secrets
 import socket
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from ipaddress import IPv4Address
 from pathlib import Path
 
@@ -58,7 +57,6 @@ class ScenarioScript:
 @dataclass
 class TranscriptEntry:
     direction: str  # "→" sent, "←" received
-    instant: datetime
     code: PacketCode
     identifier: int
     attr_names: tuple[str, ...]
@@ -84,9 +82,7 @@ class Transcript:
             wire.ATTRIBUTE_NAMES.get(a.attr_type, f"Attr-{a.attr_type}")
             for a in packet.attributes
         )
-        self.entries.append(TranscriptEntry(
-            direction, datetime.now(timezone.utc), packet.code,
-            packet.identifier, names))
+        self.entries.append(TranscriptEntry(direction, packet.code, packet.identifier, names))
 
 
 REQ = PacketCode.ACCESS_REQUEST

@@ -35,11 +35,12 @@ from .auth import (
     Role,
     UserStore,
 )
-from .context import ConfigError, ContextConfig, snapshot_context
+from .context import ConfigError, ContextConfig, evaluate_plausibility, require_number
 from .policy import RequestedAction
 from .wire import Attribute, Packet, PacketCode, WireError
 
 REJECT_MESSAGE = b"access denied"
+OTP_PROMPT = b"one-time password required"
 ROLE_NAMES = {Role.DEFAULT: "default", Role.ROOT: "root"}
 
 # Entries per dedup generation; two generations bound the cache at 16384
@@ -83,11 +84,9 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if not self.clients:
             raise ConfigError("at least one client entry is required")
-        window = self.dedup_window_seconds
-        if (isinstance(window, bool) or not isinstance(window, (int, float))
-                or not 0 < window < math.inf):
-            raise ConfigError(
-                f"dedup_window_seconds must be a positive number, got {window!r}")
+        require_number("dedup_window_seconds", self.dedup_window_seconds, (int, float),
+                       0, math.inf, "a positive number")
+        require_number("port", self.port, (int,), -1, 65536, "an int from 0 to 65535")
 
 
 def load_server_config(path: str | Path) -> ServerConfig:
@@ -124,10 +123,27 @@ def load_server_config(path: str | Path) -> ServerConfig:
     )
 
 
+# Escapes for event-log fields: backslash, tab, CR and LF by name, the other
+# C0 controls, DEL and the C1 controls as \xNN, and the two separators that
+# str.splitlines also splits on as \uNNNN.
+_FIELD_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
+_FIELD_ESCAPES.update({ord("\\"): "\\\\", ord("\t"): "\\t", ord("\r"): "\\r",
+                       ord("\n"): "\\n", 0x2028: "\\u2028", 0x2029: "\\u2029"})
+
+
+def _field(text: str) -> str:
+    """`text` with nothing that could end its field or its line."""
+    if text.isprintable() and "\\" not in text:
+        return text
+    return text.translate(_FIELD_ESCAPES)
+
+
 class EventLog:
     """One TSV event line per row: instant, event, username-or-peer, detail.
 
-    Secrets, passwords and OTP values never pass through here.
+    Each field is escaped, so one call writes exactly one line of four
+    fields whatever a request carries.  Secrets, passwords and OTP values
+    never pass through here.
     """
 
     def __init__(self, stream: TextIO | None = None):
@@ -135,7 +151,7 @@ class EventLog:
         self._lock = threading.Lock()
 
     def log(self, now: datetime, event: str, subject: str, detail: str = "") -> None:
-        line = f"{now.isoformat()}\t{event}\t{subject}\t{detail}\n"
+        line = f"{now.isoformat()}\t{_field(event)}\t{_field(subject)}\t{_field(detail)}\n"
         with self._lock:
             self._stream.write(line)
             self._stream.flush()
@@ -261,9 +277,9 @@ class Server:
             return self.auth.complete_challenge(state, otp, username, now), username
 
         action = self._requested_action(request)
-        source = self._context_source(request, peer)
-        snapshot = snapshot_context(source, now, self.config.context)
-        return self.auth.authenticate(username, password, action, snapshot, now), username
+        verdict = evaluate_plausibility(
+            self._context_source(request, peer), now, self.config.context)
+        return self.auth.authenticate(username, password, action, verdict, now), username
 
     @staticmethod
     def _requested_action(request: Packet) -> RequestedAction:
@@ -288,7 +304,7 @@ class Server:
             code = PacketCode.ACCESS_CHALLENGE
             attrs = (
                 Attribute(wire.STATE, decision.state_token),
-                Attribute(wire.REPLY_MESSAGE, decision.prompt.encode()),
+                Attribute(wire.REPLY_MESSAGE, OTP_PROMPT),
             )
         else:
             code = PacketCode.ACCESS_REJECT

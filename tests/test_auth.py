@@ -3,12 +3,11 @@ from __future__ import annotations
 import sys
 import threading
 from datetime import datetime, timedelta, timezone
-from ipaddress import IPv4Address
 
 import pytest
 
+from ctxradius import auth as auth_module
 from ctxradius.auth import (
-    AuthPolicy,
     Authenticator,
     DeliveryLog,
     Outcome,
@@ -19,14 +18,14 @@ from ctxradius.auth import (
     latest_otp,
     verify_first_factor,
 )
-from ctxradius.context import ContextSnapshot
+from ctxradius.context import ContextVerdict, ImplausibilityReason
 from ctxradius.policy import RequestedAction
 
 NOW = datetime(2026, 8, 4, 10, 0, tzinfo=timezone.utc)
-ADDR = IPv4Address("10.0.0.5")
 
-PLAUSIBLE = ContextSnapshot(NOW, ADDR, True, True)
-OFF_SITE = ContextSnapshot(NOW, IPv4Address("203.0.113.7"), True, False)
+PLAUSIBLE = ContextVerdict(plausible=True, reasons=frozenset())
+OFF_SITE = ContextVerdict(plausible=False,
+                          reasons=frozenset({ImplausibilityReason.OFF_SITE}))
 ROOT, DEFAULT = RequestedAction.ROOT_ACCESS, RequestedAction.DEFAULT_ACCESS
 
 
@@ -106,8 +105,9 @@ def test_challenge_expiry_arithmetic(engine, log):
         last_token, last_otp, "alice", expiry).reason is RejectReason.UNKNOWN_CHALLENGE
 
 
-def test_challenges_are_fresh(users, log):
-    engine = Authenticator(users, DeliveryLog(log), AuthPolicy(max_pending_per_user=200))
+def test_challenges_are_fresh(users, log, monkeypatch):
+    monkeypatch.setattr(auth_module, "MAX_PENDING_PER_USER", 200)
+    engine = Authenticator(users, DeliveryLog(log))
     tokens, otps = set(), []
     for _ in range(100):
         token, otp = challenge_alice(engine, log)
@@ -133,7 +133,9 @@ def test_flood_limit(engine, log):
         challenge_alice(engine, log)
     decision = engine.authenticate("alice", b"wonderland", ROOT, PLAUSIBLE, NOW)
     assert decision.reason is RejectReason.CHALLENGE_FLOOD
-    assert engine.pending_challenges("alice") == 3
+    assert engine.authenticate(
+        "alice", b"wonderland", ROOT, PLAUSIBLE, NOW).reason is RejectReason.CHALLENGE_FLOOD
+    assert len(log.read_text().splitlines()) == 3  # no OTP for a flood reject
     # an unrelated user is unaffected
     decision = engine.authenticate("bob", b"builder", ROOT, PLAUSIBLE, NOW)
     assert decision.outcome is Outcome.CHALLENGE
@@ -158,10 +160,11 @@ def test_verify_otp_attempt_exhaustion(engine, log):
 
 def test_verify_otp_expiry_half_open(engine, log):
     token, otp = challenge_alice(engine, log)
+    delivered = log.read_text()
     expires_at = NOW + timedelta(seconds=120)
     assert engine.complete_challenge(
         token, otp, "alice", expires_at).reason is RejectReason.UNKNOWN_CHALLENGE
-    assert engine.pending_challenges("alice") == 0
+    assert log.read_text() == delivered
 
 
 def test_verify_otp_single_success_under_contention(engine, log):
@@ -255,13 +258,13 @@ def test_each_leg_takes_the_lock_once(engine, log, issued, leg, expected):
 # decision flow
 # ---------------------------------------------------------------------------
 
-def test_plausible_default_accepts_on_one_factor(engine):
+def test_plausible_default_accepts_on_one_factor(engine, log):
     decision = engine.authenticate("alice", b"wonderland",
                                    RequestedAction.DEFAULT_ACCESS, PLAUSIBLE, NOW)
     assert decision.outcome is Outcome.ACCEPT
     assert decision.granted_role is Role.DEFAULT
     assert engine.session_for("alice", NOW).factors_verified == 1
-    assert engine.pending_challenges("alice") == 0
+    assert log.read_text() == ""  # no OTP delivered
 
 
 def test_plausible_root_demands_challenge(engine):
@@ -302,7 +305,8 @@ def test_concurrent_root_requests_respect_the_pending_maximum(engine):
     assert sorted(d.outcome.value for d in results) == ["challenge"] * 3 + ["reject"] * 5
     assert {d.reason for d in results if d.outcome is Outcome.REJECT} == {
         RejectReason.CHALLENGE_FLOOD}
-    assert engine.pending_challenges("alice") == 3
+    assert engine.authenticate(
+        "alice", b"wonderland", ROOT, PLAUSIBLE, NOW).reason is RejectReason.CHALLENGE_FLOOD
 
 
 def test_bad_credentials_rejected_before_policy(engine):
@@ -326,14 +330,14 @@ def test_missing_fields_malformed(engine):
                                PLAUSIBLE, NOW).reason is RejectReason.MALFORMED_REQUEST
 
 
-def test_session_reentry_skips_factors(engine):
+def test_session_reentry_skips_factors(engine, log):
     engine.authenticate("alice", b"wonderland", RequestedAction.DEFAULT_ACCESS,
                         PLAUSIBLE, NOW)
     later = NOW + timedelta(hours=1)
     decision = engine.authenticate("alice", b"wonderland",
                                    RequestedAction.DEFAULT_ACCESS, PLAUSIBLE, later)
     assert decision.outcome is Outcome.ACCEPT
-    assert engine.pending_challenges("alice") == 0
+    assert log.read_text() == ""  # no OTP delivered
 
 
 def test_live_session_never_launders_bad_credentials(engine):
@@ -424,12 +428,13 @@ def test_escalation_with_two_factors_held_is_immediate(engine, log):
                                    RequestedAction.DEFAULT_ACCESS, OFF_SITE, NOW)
     otp = latest_otp(log, "sms:alice")
     engine.complete_challenge(decision.state_token, otp, "alice", NOW)
+    delivered = log.read_text()
 
     outcome = engine.authenticate("alice", b"wonderland",
                                   RequestedAction.ROOT_ACCESS, OFF_SITE, NOW)
     assert outcome.outcome is Outcome.ACCEPT
     assert outcome.granted_role is Role.ROOT
-    assert engine.pending_challenges("alice") == 0
+    assert log.read_text() == delivered  # no OTP delivered
 
 
 def test_escalating_expired_session_starts_a_new_one(engine, log):

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from ctxradius.context import (
     ConfigError,
     ContextConfig,
-    ContextSnapshot,
     ContextVerdict,
     ImplausibilityReason,
     evaluate_plausibility,
     parse_utc_offset,
-    snapshot_context,
 )
 
 UTC = timezone.utc
@@ -36,48 +34,49 @@ def office_config(**overrides) -> ContextConfig:
 # 2026-08-04 is a Tuesday
 TUE_10H = datetime(2026, 8, 4, 10, 0, tzinfo=UTC)
 TUE_02H = datetime(2026, 8, 4, 2, 0, tzinfo=UTC)
+ON_SITE, OFF_SITE = IPv4Address("10.0.0.5"), IPv4Address("203.0.113.7")
+OUTSIDE_HOURS = ImplausibilityReason.OUTSIDE_WORKING_HOURS
+
+
+def reasons(address: IPv4Address, now: datetime, config: ContextConfig | None = None):
+    return evaluate_plausibility(address, now, config or office_config()).reasons
 
 
 def test_inside_hours_and_network():
-    snap = snapshot_context(IPv4Address("10.0.0.5"), TUE_10H, office_config())
-    assert snap.in_working_hours and snap.on_site
+    assert reasons(ON_SITE, TUE_10H) == frozenset()
 
 
 def test_night_request_out_of_hours():
-    snap = snapshot_context(IPv4Address("10.0.0.5"), TUE_02H, office_config())
-    assert not snap.in_working_hours
+    assert reasons(ON_SITE, TUE_02H) == {OUTSIDE_HOURS}
 
 
 def test_untrusted_source_off_site():
-    snap = snapshot_context(IPv4Address("203.0.113.7"), TUE_10H, office_config())
-    assert not snap.on_site
+    assert reasons(OFF_SITE, TUE_10H) == {ImplausibilityReason.OFF_SITE}
 
 
 def test_weekend_out_of_hours():
     sat = datetime(2026, 8, 8, 10, 0, tzinfo=UTC)
-    assert not snapshot_context(IPv4Address("10.0.0.5"), sat, office_config()).in_working_hours
+    assert reasons(ON_SITE, sat) == {OUTSIDE_HOURS}
 
 
 def test_boundary_half_open():
-    cfg = office_config()
     at_start = TUE_10H.replace(hour=8, minute=0)
     at_end = TUE_10H.replace(hour=18, minute=0)
-    assert snapshot_context(IPv4Address("10.0.0.5"), at_start, cfg).in_working_hours
-    assert not snapshot_context(IPv4Address("10.0.0.5"), at_end, cfg).in_working_hours
+    assert reasons(ON_SITE, at_start) == frozenset()
+    assert reasons(ON_SITE, at_end) == {OUTSIDE_HOURS}
 
 
 def test_offset_shifts_local_time():
     # 17:30 UTC is 19:30 at +02:00, past the 18:00 end of day
     cfg = office_config(utc_offset=parse_utc_offset("+02:00"))
     late = datetime(2026, 8, 4, 17, 30, tzinfo=UTC)
-    assert not snapshot_context(IPv4Address("10.0.0.5"), late, cfg).in_working_hours
-    cfg_utc = office_config()
-    assert snapshot_context(IPv4Address("10.0.0.5"), late, cfg_utc).in_working_hours
+    assert reasons(ON_SITE, late, cfg) == {OUTSIDE_HOURS}
+    assert reasons(ON_SITE, late) == frozenset()
 
 
 def test_determinism():
     args = (IPv4Address("10.1.2.3"), TUE_10H, office_config())
-    assert snapshot_context(*args) == snapshot_context(*args)
+    assert evaluate_plausibility(*args) is evaluate_plausibility(*args)
 
 
 @pytest.mark.parametrize("bad", [
@@ -113,14 +112,13 @@ def test_bad_offset_rejected(text):
 
 @pytest.mark.parametrize("in_hours,on_site,expected_reasons", [
     (True, True, set()),
-    (False, True, {ImplausibilityReason.OUTSIDE_WORKING_HOURS}),
+    (False, True, {OUTSIDE_HOURS}),
     (True, False, {ImplausibilityReason.OFF_SITE}),
-    (False, False, {ImplausibilityReason.OUTSIDE_WORKING_HOURS,
-                    ImplausibilityReason.OFF_SITE}),
+    (False, False, {OUTSIDE_HOURS, ImplausibilityReason.OFF_SITE}),
 ])
 def test_plausibility_truth_table(in_hours, on_site, expected_reasons):
-    snap = ContextSnapshot(TUE_10H, IPv4Address("10.0.0.5"), in_hours, on_site)
-    verdict = evaluate_plausibility(snap)
+    verdict = evaluate_plausibility(ON_SITE if on_site else OFF_SITE,
+                                    TUE_10H if in_hours else TUE_02H, office_config())
     assert verdict.reasons == frozenset(expected_reasons)
     assert verdict.plausible == (not expected_reasons)
 
@@ -141,6 +139,6 @@ def test_adding_network_never_revokes_trust(addr_int, extra_net_int, extra_len):
     base = office_config()
     extra = IPv4Network((extra_net_int, extra_len), strict=False)
     grown = office_config(trusted_networks=base.trusted_networks + (extra,))
-    before = snapshot_context(address, TUE_10H, base).on_site
-    after = snapshot_context(address, TUE_10H, grown).on_site
+    before = ImplausibilityReason.OFF_SITE not in reasons(address, TUE_10H, base)
+    after = ImplausibilityReason.OFF_SITE not in reasons(address, TUE_10H, grown)
     assert not before or after

@@ -218,6 +218,14 @@ def test_cli_serve_startup_failure_exits_nonzero(tmp_path, capsys):
     assert code == 1
     assert "startup failed" in capsys.readouterr().err
 
+    # a port the socket layer cannot take fails at load, not with a traceback
+    config_path = write_demo_fixtures(tmp_path / "bad-port", port=70000)
+    code = main(["serve", "--config", str(config_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("server startup failed:") == 1
+    assert "Traceback" not in err
+
 
 def test_cli_serve_occupied_port_exits_nonzero(tmp_path, capsys):
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import io
+import itertools
 import sys
 import threading
 from datetime import datetime, timedelta
 from ipaddress import IPv4Address
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ctxradius import server as server_module
 from ctxradius import wire
@@ -210,7 +213,7 @@ def test_concurrent_copies_of_one_request_get_one_decision(server):
     assert not any(thread.is_alive() for thread in threads)
     assert responses[0] is not None
     assert responses == [responses[0]] * 8
-    assert server.auth.pending_challenges(ALICE) == 1
+    assert len(server.config.delivery_log_path.read_text().splitlines()) == 1
 
 
 def last_event(events: io.StringIO) -> str:
@@ -428,6 +431,39 @@ def test_event_log_format(tmp_path):
     datetime.fromisoformat(instant)
 
 
+def test_request_cannot_forge_an_event_line(tmp_path):
+    """A User-Name carrying a newline and tabs stays inside its own field."""
+    events = io.StringIO()
+    config = load_server_config(write_demo_fixtures(tmp_path, port=0))
+    server = Server(config, EventLog(stream=events))
+    forged = f"{server.clock().isoformat()}\taccept\talice\tgranted: root"
+    handle(server, access_request(f"mallory\n{forged}", "wrong"))
+    lines = events.getvalue().splitlines()
+    assert len(lines) == 1
+    _, event, subject, detail = lines[0].split("\t")
+    assert (event, detail) == ("reject", "BadCredentials")
+    assert subject == "mallory\\n" + forged.replace("\t", "\\t")
+
+
+def test_any_user_name_writes_one_line_of_four_fields(tmp_path):
+    events = io.StringIO()
+    config = load_server_config(write_demo_fixtures(tmp_path, port=0))
+    server = Server(config, EventLog(stream=events))
+    ports = itertools.count(1)  # a fresh dedup key per request
+
+    @given(st.text(max_size=60))
+    def one_request(name):
+        before = len(events.getvalue().splitlines())
+        raw = access_request(name, "wrong")
+        assert server.handle_datagram(raw, PEER, server.clock(), port=next(ports))
+        lines = events.getvalue().splitlines()
+        assert len(lines) == before + 1
+        fields = lines[-1].split("\t")
+        assert len(fields) == 4 and fields[1] == "reject"
+
+    one_request()
+
+
 def test_missing_user_store_is_startup_error(tmp_path):
     config = load_server_config(write_demo_fixtures(tmp_path, port=0))
     (tmp_path / "users.json").unlink()
@@ -456,6 +492,45 @@ def test_dedup_window_must_be_a_positive_number(tmp_path, window):
     config_path.write_text(json.dumps(raw))
     with pytest.raises(ConfigError, match="dedup_window_seconds"):
         load_server_config(config_path)
+
+
+@pytest.mark.parametrize("section, key, value, name", [
+    ("otp", "digits", "6", "otp_digits"),
+    ("otp", "digits", 0, "otp_digits"),
+    ("otp", "digits", wire.MAX_PASSWORD_LEN + 1, "otp_digits"),
+    ("otp", "digits", True, "otp_digits"),
+    ("otp", "max_attempts", 0, "otp_max_attempts"),
+    ("otp", "max_attempts", 2.5, "otp_max_attempts"),
+    ("otp", "ttl_seconds", 0, "otp_ttl_seconds"),
+    ("otp", "ttl_seconds", float("nan"), "otp_ttl_seconds"),
+    ("session", "ttl_seconds", -5, "session_ttl_seconds"),
+    ("session", "ttl_seconds", float("inf"), "session_ttl_seconds"),
+    (None, "port", "1812", "port"),
+    (None, "port", 70000, "port"),
+    (None, "port", -1, "port"),
+])
+def test_policy_and_port_validated_at_load(tmp_path, section, key, value, name):
+    import json
+
+    config_path = write_demo_fixtures(tmp_path, port=0)
+    raw = json.loads(config_path.read_text())
+    (raw[section] if section else raw)[key] = value
+    config_path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match=name):
+        load_server_config(config_path)
+
+
+def test_policy_and_port_bounds_are_inclusive(tmp_path):
+    import json
+
+    config_path = write_demo_fixtures(tmp_path, port=0)
+    raw = json.loads(config_path.read_text())
+    raw["port"] = 65535
+    raw["otp"] = {"digits": wire.MAX_PASSWORD_LEN, "max_attempts": 1, "ttl_seconds": 0.5}
+    config_path.write_text(json.dumps(raw))
+    config = load_server_config(config_path)
+    assert config.port == 65535
+    assert config.auth_policy.otp_digits == wire.MAX_PASSWORD_LEN
 
 
 def test_empty_client_secret_rejected():

@@ -180,24 +180,24 @@ def _response() -> Packet:
 
 
 def test_response_authenticator_matches_oracle():
-    digest = wire.compute_response_authenticator(_response(), RA, b"secret")
+    digest = wire.stamp_response(wire.encode_packet(_response()), RA, b"secret")[4:20]
     assert digest.hex() == RESPONSE_DIGEST
 
 
 def test_verify_self_produced_response():
-    digest = wire.compute_response_authenticator(_response(), RA, b"secret")
+    digest = wire.stamp_response(wire.encode_packet(_response()), RA, b"secret")[4:20]
     stamped = Packet(PacketCode.ACCESS_ACCEPT, 7, digest, _response().attributes)
     assert wire.verify_response_authenticator(stamped, RA, b"secret")
 
 
 def test_flipping_attribute_octet_changes_digest():
-    base = wire.compute_response_authenticator(_response(), RA, b"secret")
+    base = wire.stamp_response(wire.encode_packet(_response()), RA, b"secret")[4:20]
     for i in range(len(b"granted: default")):
         mutated = bytearray(b"granted: default")
         mutated[i] ^= 0x01
         pkt = Packet(PacketCode.ACCESS_ACCEPT, 7, bytes(16),
                      (Attribute(wire.REPLY_MESSAGE, bytes(mutated)),))
-        assert wire.compute_response_authenticator(pkt, RA, b"secret") != base
+        assert wire.stamp_response(wire.encode_packet(pkt), RA, b"secret")[4:20] != base
 
 
 # ---------------------------------------------------------------------------
