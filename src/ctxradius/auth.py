@@ -5,10 +5,10 @@ that carries a password, and issues an OTP challenge when the context
 calls for a second factor; `complete_challenge` decides the OTP leg that
 answers it.  The caller judges the request's context and passes the
 verdict in.  The user store is read-only at runtime.  The challenge and
-session stores are shared mutable state; each decision reads and updates
-them in one critical section under one lock, so a session cannot change
-between the check that it covers a request and the accept, a state token
-is consumed at most once, and attempt counters never race.
+session stores are shared mutable state and hold no lock: the caller runs
+one decision at a time, as `Server` does under its lock, so a session
+cannot change between the check that it covers a request and the accept,
+a state token is consumed at most once, and attempt counters never race.
 
 Both stores are keyed by username, so no decision reads another user's
 entries.  A challenge is registered only after the first factor passes,
@@ -25,7 +25,6 @@ import hmac
 import json
 import math
 import secrets
-import threading
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum, IntEnum
@@ -180,13 +179,12 @@ class DeliveryLog:
 
     def __init__(self, path: str | Path):
         self._path = Path(path)
-        self._lock = threading.Lock()
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._path.touch(exist_ok=True)
 
     def append(self, instant: datetime, channel: str, otp: str) -> None:
         line = f"{instant.isoformat()}\t{channel}\t{otp}\n"
-        with self._lock, open(self._path, "a", encoding="utf-8") as fh:
+        with open(self._path, "a", encoding="utf-8") as fh:
             fh.write(line)
             fh.flush()
 
@@ -230,7 +228,6 @@ class Authenticator:
         self.users = users
         self.delivery = delivery
         self.policy = policy or AuthPolicy()
-        self._lock = threading.Lock()
         self._challenges: dict[str, dict[bytes, OtpChallenge]] = {}  # by username, token
         self._sessions: dict[str, Session] = {}  # one per username
 
@@ -238,10 +235,6 @@ class Authenticator:
 
     def session_for(self, username: str, now: datetime) -> Session | None:
         """The user's unexpired session, if any; expired ones behave as absent."""
-        with self._lock:
-            return self._live_session(username, now)
-
-    def _live_session(self, username: str, now: datetime) -> Session | None:
         session = self._sessions.get(username)
         if session is None:
             return None
@@ -252,7 +245,7 @@ class Authenticator:
 
     def _admit(self, username: str, role: Role, factors: int, now: datetime) -> Session:
         """Create or update the user's session after a successful flow."""
-        session = self._live_session(username, now)
+        session = self.session_for(username, now)
         if session is None:
             session = Session(
                 granted_role=role,
@@ -295,30 +288,28 @@ class Authenticator:
 
         role = ROLE_FOR_ACTION[action]
         level = required_security(verdict, action)
-        with self._lock:
-            session = self._live_session(username, now)
-            if (session is not None
-                    and session.factors_verified >= level.required_factors
-                    and (session.granted_role >= role or session.factors_verified >= 2)):
-                session.granted_role = max(session.granted_role, role)
-                return AuthDecision.accept(session.granted_role)
-            if level is SecurityLevel.LOW:
-                self._admit(username, role, 1, now)
-                return AuthDecision.accept(role)
-            pending = self._challenges[username] = {
-                t: c for t, c in self._challenges.get(username, {}).items()
-                if now < c.expires_at}
-            if len(pending) >= MAX_PENDING_PER_USER:
-                return AuthDecision.reject(RejectReason.CHALLENGE_FLOOD)
-            challenge = OtpChallenge(
-                state_token=secrets.token_bytes(16),
-                otp_value=self._random_otp(),
-                expires_at=now + timedelta(seconds=self.policy.otp_ttl_seconds),
-                attempts_remaining=self.policy.otp_max_attempts,
-                pending_action=action,
-            )
-            pending[challenge.state_token] = challenge
-        # outside the lock: file IO; the log is flushed before we return
+        session = self.session_for(username, now)
+        if (session is not None
+                and session.factors_verified >= level.required_factors
+                and (session.granted_role >= role or session.factors_verified >= 2)):
+            session.granted_role = max(session.granted_role, role)
+            return AuthDecision.accept(session.granted_role)
+        if level is SecurityLevel.LOW:
+            self._admit(username, role, 1, now)
+            return AuthDecision.accept(role)
+        pending = self._challenges[username] = {
+            t: c for t, c in self._challenges.get(username, {}).items()
+            if now < c.expires_at}
+        if len(pending) >= MAX_PENDING_PER_USER:
+            return AuthDecision.reject(RejectReason.CHALLENGE_FLOOD)
+        challenge = OtpChallenge(
+            state_token=secrets.token_bytes(16),
+            otp_value=self._random_otp(),
+            expires_at=now + timedelta(seconds=self.policy.otp_ttl_seconds),
+            attempts_remaining=self.policy.otp_max_attempts,
+            pending_action=action,
+        )
+        pending[challenge.state_token] = challenge
         self.delivery.append(now, self.users.get(username).otp_channel, challenge.otp_value)
         return AuthDecision.challenge(challenge.state_token)
 
@@ -332,17 +323,16 @@ class Authenticator:
         attempts as they were.  A wrong OTP spends one attempt; the last one
         spent ends the challenge.  A right OTP consumes the token.
         """
-        with self._lock:
-            pending = self._challenges.get(username, {})
-            challenge = pending.get(state_token)
-            if challenge is None or now >= challenge.expires_at:
-                pending.pop(state_token, None)
-                return AuthDecision.reject(RejectReason.UNKNOWN_CHALLENGE)
-            if not hmac.compare_digest(otp.encode(), challenge.otp_value.encode()):
-                challenge.attempts_remaining -= 1
-                if challenge.attempts_remaining <= 0:
-                    del pending[state_token]
-                return AuthDecision.reject(RejectReason.BAD_OTP)
-            del pending[state_token]  # single-use
-            session = self._admit(username, ROLE_FOR_ACTION[challenge.pending_action], 2, now)
-            return AuthDecision.accept(session.granted_role)
+        pending = self._challenges.get(username, {})
+        challenge = pending.get(state_token)
+        if challenge is None or now >= challenge.expires_at:
+            pending.pop(state_token, None)
+            return AuthDecision.reject(RejectReason.UNKNOWN_CHALLENGE)
+        if not hmac.compare_digest(otp.encode(), challenge.otp_value.encode()):
+            challenge.attempts_remaining -= 1
+            if challenge.attempts_remaining <= 0:
+                del pending[state_token]
+            return AuthDecision.reject(RejectReason.BAD_OTP)
+        del pending[state_token]  # single-use
+        session = self._admit(username, ROLE_FOR_ACTION[challenge.pending_action], 2, now)
+        return AuthDecision.accept(session.granted_role)

@@ -8,6 +8,12 @@ message, so the wire never discloses whether a username exists.
 The dedup cache is two generations of at most `DEDUP_GENERATION` entries
 each, so a lookup and an insert cost the same at any table size and the
 cache never holds more than twice that many responses.
+
+The Server's lock is the only lock on decision state: it covers a
+datagram's dedup lookup, decision and store, and `Authenticator` and
+`DeliveryLog` hold none.  `EventLog` keeps its own lock for the lines the
+serving loop writes; a datagram writes its event line after the Server's
+lock is released, so no thread ever holds two locks.
 """
 
 from __future__ import annotations
@@ -84,43 +90,52 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if not self.clients:
             raise ConfigError("at least one client entry is required")
+        if not isinstance(self.bind_address, str):
+            raise ConfigError(f"bind_address must be a str, got {self.bind_address!r}")
         require_number("dedup_window_seconds", self.dedup_window_seconds, (int, float),
                        0, math.inf, "a positive number")
         require_number("port", self.port, (int,), -1, 65536, "an int from 0 to 65535")
 
 
 def load_server_config(path: str | Path) -> ServerConfig:
-    """Parse the JSON config file; relative paths are anchored at the file."""
+    """Parse the JSON config file; relative paths are anchored at the file.
+
+    A value of a JSON type the parser cannot use raises ConfigError, like
+    a bad value does, not the TypeError or AttributeError it caused.
+    """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
 
-    clients = tuple(
-        ClientEntry(IPv4Network(entry["address"], strict=False),
-                    bytes.fromhex(entry["secret_hex"]))
-        for entry in raw.get("clients", [])
-    )
-    otp = raw.get("otp", {})
-    session = raw.get("session", {})
-    policy = AuthPolicy(
-        otp_ttl_seconds=otp.get("ttl_seconds", 120),
-        otp_max_attempts=otp.get("max_attempts", 3),
-        otp_digits=otp.get("digits", 6),
-        session_ttl_seconds=session.get("ttl_seconds", 8 * 3600),
-    )
-    override = raw.get("clock_override")
     base = path.parent
-    return ServerConfig(
-        context=ContextConfig.from_dict(raw["context"]),
-        clients=clients,
-        user_store_path=base / raw["user_store_path"],
-        delivery_log_path=base / raw["delivery_log_path"],
-        bind_address=raw.get("bind_address", "127.0.0.1"),
-        port=raw.get("port", 1812),
-        auth_policy=policy,
-        dedup_window_seconds=raw.get("dedup_window_seconds", 30),
-        clock_override=datetime.fromisoformat(override) if override else None,
-    )
+    try:
+        clients = tuple(
+            ClientEntry(IPv4Network(entry["address"], strict=False),
+                        bytes.fromhex(entry["secret_hex"]))
+            for entry in raw.get("clients", [])
+        )
+        otp = raw.get("otp", {})
+        session = raw.get("session", {})
+        policy = AuthPolicy(
+            otp_ttl_seconds=otp.get("ttl_seconds", 120),
+            otp_max_attempts=otp.get("max_attempts", 3),
+            otp_digits=otp.get("digits", 6),
+            session_ttl_seconds=session.get("ttl_seconds", 8 * 3600),
+        )
+        override = raw.get("clock_override")
+        return ServerConfig(
+            context=ContextConfig.from_dict(raw["context"]),
+            clients=clients,
+            user_store_path=base / raw["user_store_path"],
+            delivery_log_path=base / raw["delivery_log_path"],
+            bind_address=raw.get("bind_address", "127.0.0.1"),
+            port=raw.get("port", 1812),
+            auth_policy=policy,
+            dedup_window_seconds=raw.get("dedup_window_seconds", 30),
+            clock_override=datetime.fromisoformat(override) if override else None,
+        )
+    except (TypeError, AttributeError) as exc:
+        raise ConfigError(f"malformed config {path}: {exc}") from exc
 
 
 # Escapes for event-log fields: backslash, tab, CR and LF by name, the other
@@ -178,11 +193,10 @@ class Server:
         # stored since `_dedup_since`, `_dedup_old` the generation before it,
         # so dropping `_dedup_old` once `_dedup_since` is past the window
         # drops only expired entries.
-        # Lock order: dedup, auth, delivery log, event log; none in reverse.
         self._dedup: dict[int, bytes] = {}
         self._dedup_old: dict[int, bytes] = {}
         self._dedup_since = 0
-        self._dedup_lock = threading.Lock()
+        self._lock = threading.Lock()  # the only lock on decision state
         self._dedup_window_us = round(config.dedup_window_seconds * 1_000_000)
         self._socket: socket.socket | None = None
         self._stop = threading.Event()
@@ -197,8 +211,9 @@ class Server:
                         *, port: int = 0) -> bytes | None:
         """Process one datagram from `peer`:`port`; None means drop silently.
 
-        Dedup lookup, decision and store form one critical section, so any
-        thread may call this.
+        Dedup lookup, decision, render and store form one critical section
+        under the Server's lock, so any thread may call this.  Event lines
+        are written after it is released.
         """
         client = self._client_for(peer)
         if client is None:
@@ -216,30 +231,27 @@ class Server:
         key = int(peer) << 24 | port << 8 | request.identifier
         stamp = _stamp(now)
         cutoff = stamp - self._dedup_window_us
-        with self._dedup_lock:
+        with self._lock:
             # the current generation holds the newer entry; a value is never empty
             cached = self._dedup.get(key) or self._dedup_old.get(key)
             if cached and _STAMP.unpack_from(cached)[0] > cutoff:
+                subject = str(peer)
                 if cached[8:24] == request.authenticator:
-                    self.events.log(now, "replay", str(peer), f"id={request.identifier}")
-                    return cached[24:]
-                self.events.log(now, "drop", str(peer),
-                                f"duplicate id={request.identifier} in dedup window")
-                return None
-            decision, username = self._decide(request, client, peer, now)
-            response = self._render(decision, request, client.shared_secret)
-            if self._dedup_since <= cutoff or len(self._dedup) >= DEDUP_GENERATION:
-                self._dedup_old, self._dedup, self._dedup_since = self._dedup, {}, stamp
-            self._dedup[key] = _STAMP.pack(stamp) + request.authenticator + response
-
-        subject = username or str(peer)
-        if decision.outcome is Outcome.ACCEPT:
-            self.events.log(now, "accept", subject,
-                            f"granted: {ROLE_NAMES[decision.granted_role]}")
-        elif decision.outcome is Outcome.CHALLENGE:
-            self.events.log(now, "challenge", subject, "otp challenge issued")
-        else:
-            self.events.log(now, "reject", subject, decision.reason.value)
+                    event, detail, response = "replay", f"id={request.identifier}", cached[24:]
+                else:
+                    event, response = "drop", None
+                    detail = f"duplicate id={request.identifier} in dedup window"
+            else:
+                decision, username = self._decide(request, client, peer, now)
+                event, subject = decision.outcome.value, username or str(peer)
+                code, attrs, detail = _outcome(decision)
+                response = wire.stamp_response(
+                    wire.encode_packet(Packet(code, request.identifier, bytes(16), attrs)),
+                    request.authenticator, client.shared_secret)
+                if self._dedup_since <= cutoff or len(self._dedup) >= DEDUP_GENERATION:
+                    self._dedup_old, self._dedup, self._dedup_since = self._dedup, {}, stamp
+                self._dedup[key] = _STAMP.pack(stamp) + request.authenticator + response
+        self.events.log(now, event, subject, detail)
         return response
 
     def _client_for(self, peer: IPv4Address) -> ClientEntry | None:
@@ -294,25 +306,6 @@ class Server:
         if value is not None and len(value) == 4:
             return IPv4Address(value)
         return peer
-
-    def _render(self, decision: AuthDecision, request: Packet, secret: bytes) -> bytes:
-        if decision.outcome is Outcome.ACCEPT:
-            code = PacketCode.ACCESS_ACCEPT
-            role = ROLE_NAMES[decision.granted_role]
-            attrs = (Attribute(wire.REPLY_MESSAGE, f"granted: {role}".encode()),)
-        elif decision.outcome is Outcome.CHALLENGE:
-            code = PacketCode.ACCESS_CHALLENGE
-            attrs = (
-                Attribute(wire.STATE, decision.state_token),
-                Attribute(wire.REPLY_MESSAGE, OTP_PROMPT),
-            )
-        else:
-            code = PacketCode.ACCESS_REJECT
-            attrs = (Attribute(wire.REPLY_MESSAGE, REJECT_MESSAGE),)
-
-        return wire.stamp_response(
-            wire.encode_packet(Packet(code, request.identifier, bytes(16), attrs)),
-            request.authenticator, secret)
 
     # -- UDP lifecycle ---------------------------------------------------------
 
@@ -371,6 +364,20 @@ class Server:
 
     def shutdown(self) -> None:
         self._stop.set()
+
+
+def _outcome(decision: AuthDecision) -> tuple[PacketCode, tuple[Attribute, ...], str]:
+    """The reply code, the reply attributes and the event detail of a decision."""
+    if decision.outcome is Outcome.ACCEPT:
+        detail = f"granted: {ROLE_NAMES[decision.granted_role]}"
+        return PacketCode.ACCESS_ACCEPT, (Attribute(wire.REPLY_MESSAGE, detail.encode()),), detail
+    if decision.outcome is Outcome.CHALLENGE:
+        return (PacketCode.ACCESS_CHALLENGE,
+                (Attribute(wire.STATE, decision.state_token),
+                 Attribute(wire.REPLY_MESSAGE, OTP_PROMPT)),
+                "otp challenge issued")
+    return (PacketCode.ACCESS_REJECT, (Attribute(wire.REPLY_MESSAGE, REJECT_MESSAGE),),
+            decision.reason.value)
 
 
 def _stamp(now: datetime) -> int:

@@ -7,6 +7,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from ctxradius import auth as auth_module
+from ctxradius import wire
 from ctxradius.auth import (
     Authenticator,
     DeliveryLog,
@@ -20,13 +21,24 @@ from ctxradius.auth import (
 )
 from ctxradius.context import ContextVerdict, ImplausibilityReason
 from ctxradius.policy import RequestedAction
+from test_server import (
+    ACCEPT,
+    ALICE,
+    CHALLENGE,
+    LEGS,
+    PEER,
+    REJECT,
+    challenged,
+    demo_server,
+    root_leg,
+)
 
 NOW = datetime(2026, 8, 4, 10, 0, tzinfo=timezone.utc)
 
 PLAUSIBLE = ContextVerdict(plausible=True, reasons=frozenset())
 OFF_SITE = ContextVerdict(plausible=False,
                           reasons=frozenset({ImplausibilityReason.OFF_SITE}))
-ROOT, DEFAULT = RequestedAction.ROOT_ACCESS, RequestedAction.DEFAULT_ACCESS
+ROOT = RequestedAction.ROOT_ACCESS
 
 
 @pytest.fixture
@@ -167,16 +179,17 @@ def test_verify_otp_expiry_half_open(engine, log):
     assert log.read_text() == delivered
 
 
-def test_verify_otp_single_success_under_contention(engine, log):
-    token, otp = challenge_alice(engine, log)
+def race(attempts):
+    """Run each callable on its own thread, all released at once under a
+    short switch interval; their results, in completion order."""
     results = []
-    barrier = threading.Barrier(8)
+    barrier = threading.Barrier(len(attempts))
 
-    def attempt():
+    def run(attempt):
         barrier.wait(timeout=5)
-        results.append(engine.complete_challenge(token, otp, "alice", NOW))
+        results.append(attempt())
 
-    threads = [threading.Thread(target=attempt) for _ in range(8)]
+    threads = [threading.Thread(target=run, args=(attempt,)) for attempt in attempts]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -187,9 +200,21 @@ def test_verify_otp_single_success_under_contention(engine, log):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert [d.outcome for d in results].count(Outcome.ACCEPT) == 1
-    assert {d.reason for d in results if d.outcome is Outcome.REJECT} == {
-        RejectReason.UNKNOWN_CHALLENGE}
+    return results
+
+
+def test_verify_otp_single_success_under_contention(tmp_path):
+    """Eight right answers to one challenge, each with its own identifier:
+    the Server's lock lets exactly one consume the State."""
+    server, events = demo_server(tmp_path)
+    otp, state = challenged(server)
+    now = server.clock()
+    results = race([lambda i=i: server.handle_datagram(root_leg(i, otp, state), PEER, now)
+                    for i in range(2, 10)])
+    codes = [wire.decode_packet(r).code for r in results]
+    assert codes.count(ACCEPT) == 1 and codes.count(REJECT) == 7
+    details = [line.split("\t")[3] for line in events.getvalue().splitlines()[1:]]
+    assert sorted(details) == ["UnknownChallenge"] * 7 + ["granted: root"]
 
 
 def test_other_users_leg_leaves_the_challenge_untouched(engine, log):
@@ -202,56 +227,42 @@ def test_other_users_leg_leaves_the_challenge_untouched(engine, log):
 
 
 class CountingLock:
-    """A threading.Lock that counts how often it is taken."""
+    """A threading.Lock that counts how often it is taken and, when it
+    watches another CountingLock, how often that one was held then."""
 
-    def __init__(self):
+    def __init__(self, watch: CountingLock | None = None):
         self._lock = threading.Lock()
-        self.acquired = 0
+        self.watch = watch
+        self.acquired = self.nested = 0
+        self.held = False
 
     def __enter__(self):
         self._lock.acquire()
         self.acquired += 1
+        self.nested += bool(self.watch and self.watch.held)
+        self.held = True
         return self
 
     def __exit__(self, *exc):
+        self.held = False
         self._lock.release()
 
 
-LOCK_LEGS = [
-    # (case, root challenges issued first, the leg, expected outcome and reason)
-    ("authenticate-accept", 0,
-     lambda e, token, otp: e.authenticate("alice", b"wonderland", DEFAULT, PLAUSIBLE, NOW),
-     (Outcome.ACCEPT, None)),
-    ("authenticate-challenge", 0,
-     lambda e, token, otp: e.authenticate("alice", b"wonderland", ROOT, PLAUSIBLE, NOW),
-     (Outcome.CHALLENGE, None)),
-    ("authenticate-flood", 3,
-     lambda e, token, otp: e.authenticate("alice", b"wonderland", ROOT, PLAUSIBLE, NOW),
-     (Outcome.REJECT, RejectReason.CHALLENGE_FLOOD)),
-    ("complete-accept", 1,
-     lambda e, token, otp: e.complete_challenge(token, otp, "alice", NOW),
-     (Outcome.ACCEPT, None)),
-    ("complete-wrong-otp", 1,
-     lambda e, token, otp: e.complete_challenge(token, wrong(otp), "alice", NOW),
-     (Outcome.REJECT, RejectReason.BAD_OTP)),
-    ("complete-unknown", 0,
-     lambda e, token, otp: e.complete_challenge(b"\x99" * 16, "123456", "alice", NOW),
-     (Outcome.REJECT, RejectReason.UNKNOWN_CHALLENGE)),
-]
-
-
-@pytest.mark.parametrize("issued, leg, expected", [row[1:] for row in LOCK_LEGS],
-                         ids=[row[0] for row in LOCK_LEGS])
-def test_each_leg_takes_the_lock_once(engine, log, issued, leg, expected):
-    """Each decision reads and updates the stores in one critical section."""
-    lock = engine._lock = CountingLock()
-    token = otp = None
-    for _ in range(issued):
-        token, otp = challenge_alice(engine, log)
-    lock.acquired = 0
-    decision = leg(engine, token, otp)
-    assert (decision.outcome, decision.reason) == expected
-    assert lock.acquired == 1
+@pytest.mark.parametrize("leg, peer, code, takes",
+                         [(row[1], row[2], row[3], row[5]) for row in LEGS],
+                         ids=[row[0] for row in LEGS])
+def test_each_leg_takes_the_lock_once(tmp_path, leg, peer, code, takes):
+    """A datagram's lookup, decision and store take the Server's lock once,
+    a drop before the lookup takes it not at all, and its one event line is
+    written with the lock released."""
+    server, _ = demo_server(tmp_path)
+    raw = leg(server)
+    lock = server._lock = CountingLock()
+    events_lock = server.events._lock = CountingLock(watch=lock)
+    response = server.handle_datagram(raw, peer, server.clock())
+    assert (response and wire.decode_packet(response).code) == code
+    assert lock.acquired == takes
+    assert (events_lock.acquired, events_lock.nested) == (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,33 +291,20 @@ def test_implausible_default_demands_challenge(engine):
     assert decision.outcome is Outcome.CHALLENGE
 
 
-def test_concurrent_root_requests_respect_the_pending_maximum(engine):
-    """The pending count is checked and the challenge stored in one
-    critical section: past the maximum, requests get their own reason."""
-    results = []
-    barrier = threading.Barrier(8)
-
-    def attempt():
-        barrier.wait(timeout=5)
-        results.append(engine.authenticate(
-            "alice", b"wonderland", RequestedAction.ROOT_ACCESS, PLAUSIBLE, NOW))
-
-    threads = [threading.Thread(target=attempt) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=5)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert sorted(d.outcome.value for d in results) == ["challenge"] * 3 + ["reject"] * 5
-    assert {d.reason for d in results if d.outcome is Outcome.REJECT} == {
-        RejectReason.CHALLENGE_FLOOD}
-    assert engine.authenticate(
-        "alice", b"wonderland", ROOT, PLAUSIBLE, NOW).reason is RejectReason.CHALLENGE_FLOOD
+def test_concurrent_root_requests_respect_the_pending_maximum(tmp_path):
+    """The pending count is checked and the challenge stored under the
+    Server's lock: past the maximum, requests get their own reason."""
+    server, events = demo_server(tmp_path)
+    now = server.clock()
+    results = race([lambda i=i: server.handle_datagram(root_leg(i), PEER, now)
+                    for i in range(1, 9)])
+    codes = [wire.decode_packet(r).code for r in results]
+    assert codes.count(CHALLENGE) == 3 and codes.count(REJECT) == 5
+    assert len(server.config.delivery_log_path.read_text().splitlines()) == 3
+    lines = [line.split("\t")[1:] for line in events.getvalue().splitlines()]
+    assert lines.count(["reject", ALICE, "ChallengeFloodLimit"]) == 5
+    assert wire.decode_packet(server.handle_datagram(root_leg(9), PEER, now)).code is REJECT
+    assert events.getvalue().splitlines()[-1].endswith("\tChallengeFloodLimit")
 
 
 def test_bad_credentials_rejected_before_policy(engine):

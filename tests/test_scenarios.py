@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import socket
 import subprocess
@@ -9,6 +10,8 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 import ctxradius
 from ctxradius import wire
@@ -220,6 +223,29 @@ def test_cli_serve_startup_failure_exits_nonzero(tmp_path, capsys):
 
     # a port the socket layer cannot take fails at load, not with a traceback
     config_path = write_demo_fixtures(tmp_path / "bad-port", port=70000)
+    code = main(["serve", "--config", str(config_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("server startup failed:") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("malform", [
+    lambda raw: raw.update(bind_address=127),
+    lambda raw: raw.update(clock_override=123),
+    lambda raw: raw["context"].update(timezone=5),
+    lambda raw: raw.update(clients={"nas": raw["clients"][0]}),
+    lambda raw: raw.update(clients=["127.0.0.0/8"]),
+    lambda raw: raw["clients"][0].update(secret_hex=5),
+    lambda raw: raw.update(user_store_path=5),
+], ids=["bind_address", "clock_override", "timezone", "clients-object", "client-string",
+        "secret_hex", "user_store_path"])
+def test_cli_serve_malformed_config_exits_nonzero(tmp_path, capsys, malform):
+    """A value of the wrong JSON type fails at load with one line, not a traceback."""
+    config_path = write_demo_fixtures(tmp_path, port=0)
+    raw = json.loads(config_path.read_text())
+    malform(raw)
+    config_path.write_text(json.dumps(raw))
     code = main(["serve", "--config", str(config_path)])
     err = capsys.readouterr().err
     assert code == 1

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ctxradius import server as server_module
 from ctxradius import wire
-from ctxradius.auth import latest_otp
+from ctxradius.auth import MAX_PENDING_PER_USER, latest_otp
 from ctxradius.context import ConfigError
 from ctxradius.scenarios import DEMO_SECRET, DEMO_USERS, write_demo_fixtures
 from ctxradius.server import (
@@ -60,6 +60,76 @@ def access_request(username: str | None, password: str, secret: bytes = DEMO_SEC
 def handle(server: Server, raw: bytes, peer: IPv4Address = PEER) -> Packet | None:
     response = server.handle_datagram(raw, peer, server.clock())
     return wire.decode_packet(response) if response is not None else None
+
+
+def demo_server(directory) -> tuple[Server, io.StringIO]:
+    """A Server on the demo fixtures, and the stream its event lines go to."""
+    events = io.StringIO()
+    config = load_server_config(write_demo_fixtures(directory, port=0))
+    return Server(config, EventLog(stream=events)), events
+
+
+def root_leg(identifier: int, password: str = ALICE_PW, state: bytes | None = None) -> bytes:
+    """alice asking for root access, or answering the challenge `state`."""
+    return access_request(ALICE, password, service_type=wire.SERVICE_ADMINISTRATIVE_USER,
+                          identifier=identifier, state=state)
+
+
+def challenged(server: Server, count: int = 1) -> tuple[str, bytes]:
+    """Challenge `count` root requests by alice; the OTP delivered for the
+    last one and its State."""
+    for identifier in range(1, count + 1):
+        response = handle(server, root_leg(identifier))
+        assert response.code is PacketCode.ACCESS_CHALLENGE
+    return latest_otp(server.config.delivery_log_path, "sms:alice"), response.first(wire.STATE)
+
+
+def flooded(server: Server) -> bytes:
+    """A root request by alice past the pending maximum."""
+    challenged(server, MAX_PENDING_PER_USER)
+    return root_leg(9)
+
+
+def repeated(server: Server, same: bool) -> bytes:
+    """After a request with identifier 1: the same bytes, or a new request
+    with the same identifier."""
+    first = access_request(ALICE, ALICE_PW)
+    handle(server, first)
+    return first if same else access_request(ALICE, ALICE_PW)
+
+
+ACCEPT, CHALLENGE, REJECT = (
+    PacketCode.ACCESS_ACCEPT, PacketCode.ACCESS_CHALLENGE, PacketCode.ACCESS_REJECT)
+ELSEWHERE = IPv4Address("192.0.2.1")  # in no client network
+# One datagram per decision path: (case, the datagram, sent after the legs it
+# answers or repeats; its peer; the reply code, None for a drop; its event
+# line after the instant; how often it takes the Server's lock).
+LEGS = [
+    ("authenticate-accept", lambda s: access_request(ALICE, ALICE_PW), PEER, ACCEPT,
+     ("accept", ALICE, "granted: default"), 1),
+    ("authenticate-challenge", lambda s: root_leg(9), PEER, CHALLENGE,
+     ("challenge", ALICE, "otp challenge issued"), 1),
+    ("authenticate-flood", flooded, PEER, REJECT,
+     ("reject", ALICE, "ChallengeFloodLimit"), 1),
+    ("authenticate-bad-credentials", lambda s: access_request(ALICE, "wrong"), PEER, REJECT,
+     ("reject", ALICE, "BadCredentials"), 1),
+    ("authenticate-malformed", lambda s: access_request(ALICE, ""), PEER, REJECT,
+     ("reject", ALICE, "MalformedRequest"), 1),
+    ("complete-accept", lambda s: root_leg(9, *challenged(s)), PEER, ACCEPT,
+     ("accept", ALICE, "granted: root"), 1),
+    ("complete-wrong-otp", lambda s: root_leg(9, "wrong", challenged(s)[1]), PEER, REJECT,
+     ("reject", ALICE, "BadOtp"), 1),
+    ("complete-unknown", lambda s: root_leg(9, "123456", b"\x99" * 16), PEER, REJECT,
+     ("reject", ALICE, "UnknownChallenge"), 1),
+    ("replay", lambda s: repeated(s, same=True), PEER, ACCEPT,
+     ("replay", str(PEER), "id=1"), 1),
+    ("duplicate-id", lambda s: repeated(s, same=False), PEER, None,
+     ("drop", str(PEER), "duplicate id=1 in dedup window"), 1),
+    ("unknown-client", lambda s: access_request(ALICE, ALICE_PW), ELSEWHERE, None,
+     ("drop", str(ELSEWHERE), "unknown client"), 0),
+    ("undecodable", lambda s: b"\x00", PEER, None,
+     ("drop", str(PEER), "undecodable: 1 octets is below the 20-octet header"), 0),
+]
 
 
 def test_scenario1_single_accept(server):
@@ -418,16 +488,13 @@ def test_no_password_or_otp_in_event_log(tmp_path):
     assert DEMO_SECRET.hex() not in log_text and "demo-shared-secret" not in log_text
 
 
-def test_event_log_format(tmp_path):
-    events = io.StringIO()
-    config = load_server_config(write_demo_fixtures(tmp_path, port=0))
-    server = Server(config, EventLog(stream=events))
-    handle(server, access_request(ALICE, ALICE_PW))
-    line = events.getvalue().splitlines()[-1]
-    instant, event, subject, detail = line.split("\t")
-    assert event == "accept"
-    assert subject == ALICE
-    assert detail == "granted: default"
+@pytest.mark.parametrize("leg, peer, line", [(row[1], row[2], row[4]) for row in LEGS],
+                         ids=[row[0] for row in LEGS])
+def test_event_log_format(tmp_path, leg, peer, line):
+    server, events = demo_server(tmp_path)
+    handle(server, leg(server), peer)
+    instant, *fields = events.getvalue().splitlines()[-1].split("\t")
+    assert tuple(fields) == line
     datetime.fromisoformat(instant)
 
 
@@ -508,6 +575,7 @@ def test_dedup_window_must_be_a_positive_number(tmp_path, window):
     (None, "port", "1812", "port"),
     (None, "port", 70000, "port"),
     (None, "port", -1, "port"),
+    (None, "bind_address", 127, "bind_address"),
 ])
 def test_policy_and_port_validated_at_load(tmp_path, section, key, value, name):
     import json
