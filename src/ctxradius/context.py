@@ -36,6 +36,17 @@ def require_number(name: str, value: object, kinds: tuple[type, ...],
         raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 
+def require_network(name: str, value: object, strict: bool = True) -> IPv4Network:
+    """`value`, a JSON string "a.b.c.d/len", as a network; ConfigError names
+    `name` for any other type or a bad string.  `strict` forbids host bits."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    try:
+        return IPv4Network(value, strict=strict)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 class ImplausibilityReason(Enum):
     OUTSIDE_WORKING_HOURS = "OutsideWorkingHours"
     OFF_SITE = "OffSite"
@@ -79,7 +90,8 @@ class ContextConfig:
             day_start=_parse_hhmm(raw["day_start"]),
             day_end=_parse_hhmm(raw["day_end"]),
             utc_offset=parse_utc_offset(raw["timezone"]),
-            trusted_networks=tuple(IPv4Network(n) for n in raw["trusted_networks"]),
+            trusted_networks=tuple(require_network("trusted_networks entry", n)
+                                   for n in raw["trusted_networks"]),
         )
 
 

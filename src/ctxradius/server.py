@@ -12,8 +12,9 @@ cache never holds more than twice that many responses.
 The Server's lock is the only lock on decision state: it covers a
 datagram's dedup lookup, decision and store, and `Authenticator` and
 `DeliveryLog` hold none.  `EventLog` keeps its own lock for the lines the
-serving loop writes; a datagram writes its event line after the Server's
-lock is released, so no thread ever holds two locks.
+serving loop writes.  Each datagram writes exactly one event line, from one
+place in `handle_datagram`, after the Server's lock is released, so no
+thread ever holds two locks.
 """
 
 from __future__ import annotations
@@ -41,7 +42,13 @@ from .auth import (
     Role,
     UserStore,
 )
-from .context import ConfigError, ContextConfig, evaluate_plausibility, require_number
+from .context import (
+    ConfigError,
+    ContextConfig,
+    evaluate_plausibility,
+    require_network,
+    require_number,
+)
 from .policy import RequestedAction
 from .wire import Attribute, Packet, PacketCode, WireError
 
@@ -110,7 +117,7 @@ def load_server_config(path: str | Path) -> ServerConfig:
     base = path.parent
     try:
         clients = tuple(
-            ClientEntry(IPv4Network(entry["address"], strict=False),
+            ClientEntry(require_network("client address", entry["address"], strict=False),
                         bytes.fromhex(entry["secret_hex"]))
             for entry in raw.get("clients", [])
         )
@@ -212,21 +219,25 @@ class Server:
         """Process one datagram from `peer`:`port`; None means drop silently.
 
         Dedup lookup, decision, render and store form one critical section
-        under the Server's lock, so any thread may call this.  Event lines
-        are written after it is released.
+        under the Server's lock, so any thread may call this.  Every datagram
+        writes exactly one event line, here, after the lock is released.
         """
+        event, subject, detail, response = self._handle(data, peer, now, port)
+        self.events.log(now, event, subject, detail)
+        return response
+
+    def _handle(self, data: bytes, peer: IPv4Address, now: datetime,
+                port: int) -> tuple[str, str, str, bytes | None]:
+        """The event, subject and detail of the datagram's event line, and its reply."""
         client = self._client_for(peer)
         if client is None:
-            self.events.log(now, "drop", str(peer), "unknown client")
-            return None
+            return "drop", str(peer), "unknown client", None
         try:
             request = wire.decode_packet(data)
         except WireError as exc:
-            self.events.log(now, "drop", str(peer), f"undecodable: {exc}")
-            return None
+            return "drop", str(peer), f"undecodable: {exc}", None
         if request.code is not PacketCode.ACCESS_REQUEST:
-            self.events.log(now, "drop", str(peer), f"unexpected code {request.code.name}")
-            return None
+            return "drop", str(peer), f"unexpected code {request.code.name}", None
 
         key = int(peer) << 24 | port << 8 | request.identifier
         stamp = _stamp(now)
@@ -235,24 +246,19 @@ class Server:
             # the current generation holds the newer entry; a value is never empty
             cached = self._dedup.get(key) or self._dedup_old.get(key)
             if cached and _STAMP.unpack_from(cached)[0] > cutoff:
-                subject = str(peer)
                 if cached[8:24] == request.authenticator:
-                    event, detail, response = "replay", f"id={request.identifier}", cached[24:]
-                else:
-                    event, response = "drop", None
-                    detail = f"duplicate id={request.identifier} in dedup window"
-            else:
-                decision, username = self._decide(request, client, peer, now)
-                event, subject = decision.outcome.value, username or str(peer)
-                code, attrs, detail = _outcome(decision)
-                response = wire.stamp_response(
-                    wire.encode_packet(Packet(code, request.identifier, bytes(16), attrs)),
-                    request.authenticator, client.shared_secret)
-                if self._dedup_since <= cutoff or len(self._dedup) >= DEDUP_GENERATION:
-                    self._dedup_old, self._dedup, self._dedup_since = self._dedup, {}, stamp
-                self._dedup[key] = _STAMP.pack(stamp) + request.authenticator + response
-        self.events.log(now, event, subject, detail)
-        return response
+                    return "replay", str(peer), f"id={request.identifier}", cached[24:]
+                return ("drop", str(peer),
+                        f"duplicate id={request.identifier} in dedup window", None)
+            decision, username = self._decide(request, client, peer, now)
+            code, attrs, detail = _outcome(decision)
+            response = wire.stamp_response(
+                wire.encode_packet(Packet(code, request.identifier, bytes(16), attrs)),
+                request.authenticator, client.shared_secret)
+            if self._dedup_since <= cutoff or len(self._dedup) >= DEDUP_GENERATION:
+                self._dedup_old, self._dedup, self._dedup_since = self._dedup, {}, stamp
+            self._dedup[key] = _STAMP.pack(stamp) + request.authenticator + response
+        return decision.outcome.value, username or str(peer), detail, response
 
     def _client_for(self, peer: IPv4Address) -> ClientEntry | None:
         for entry in self.config.clients:
@@ -262,16 +268,17 @@ class Server:
 
     def _decide(self, request: Packet, client: ClientEntry, peer: IPv4Address,
                 now: datetime) -> tuple[AuthDecision, str | None]:
-        """Recover the request's fields and run the decision flow."""
+        """Recover the request's fields, the first of each type, and decide."""
+        first = {attr.attr_type: attr.value for attr in reversed(request.attributes)}
         username = None
-        raw_name = request.first(wire.USER_NAME)
+        raw_name = first.get(wire.USER_NAME)
         if raw_name is not None:
             try:
                 username = raw_name.decode("utf-8")
             except UnicodeDecodeError:
                 return AuthDecision.reject(RejectReason.MALFORMED_REQUEST), None
 
-        hidden = request.first(wire.USER_PASSWORD)
+        hidden = first.get(wire.USER_PASSWORD)
         password = None
         if hidden is not None:
             try:
@@ -282,30 +289,19 @@ class Server:
         if username is None or password is None:
             return AuthDecision.reject(RejectReason.MALFORMED_REQUEST), username
 
-        state = request.first(wire.STATE)
+        state = first.get(wire.STATE)
         if state is not None:
             # A non-ASCII OTP cannot match; it still spends an attempt.
             otp = password.decode("ascii", "replace")
             return self.auth.complete_challenge(state, otp, username, now), username
 
-        action = self._requested_action(request)
-        verdict = evaluate_plausibility(
-            self._context_source(request, peer), now, self.config.context)
+        service = first.get(wire.SERVICE_TYPE)
+        root = service and int.from_bytes(service, "big") == wire.SERVICE_ADMINISTRATIVE_USER
+        action = RequestedAction.ROOT_ACCESS if root else RequestedAction.DEFAULT_ACCESS
+        nas_ip = first.get(wire.NAS_IP_ADDRESS)
+        source = IPv4Address(nas_ip) if nas_ip is not None and len(nas_ip) == 4 else peer
+        verdict = evaluate_plausibility(source, now, self.config.context)
         return self.auth.authenticate(username, password, action, verdict, now), username
-
-    @staticmethod
-    def _requested_action(request: Packet) -> RequestedAction:
-        value = request.first(wire.SERVICE_TYPE)
-        if value and int.from_bytes(value, "big") == wire.SERVICE_ADMINISTRATIVE_USER:
-            return RequestedAction.ROOT_ACCESS
-        return RequestedAction.DEFAULT_ACCESS
-
-    @staticmethod
-    def _context_source(request: Packet, peer: IPv4Address) -> IPv4Address:
-        value = request.first(wire.NAS_IP_ADDRESS)
-        if value is not None and len(value) == 4:
-            return IPv4Address(value)
-        return peer
 
     # -- UDP lifecycle ---------------------------------------------------------
 

@@ -238,8 +238,10 @@ def test_cli_serve_startup_failure_exits_nonzero(tmp_path, capsys):
     lambda raw: raw.update(clients=["127.0.0.0/8"]),
     lambda raw: raw["clients"][0].update(secret_hex=5),
     lambda raw: raw.update(user_store_path=5),
+    lambda raw: raw["clients"][0].update(address=2130706433),
+    lambda raw: raw["context"].update(trusted_networks=[5]),
 ], ids=["bind_address", "clock_override", "timezone", "clients-object", "client-string",
-        "secret_hex", "user_store_path"])
+        "secret_hex", "user_store_path", "client-int-address", "trusted-int-network"])
 def test_cli_serve_malformed_config_exits_nonzero(tmp_path, capsys, malform):
     """A value of the wrong JSON type fails at load with one line, not a traceback."""
     config_path = write_demo_fixtures(tmp_path, port=0)

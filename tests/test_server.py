@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import io
 import itertools
+import secrets
 import sys
 import threading
 from datetime import datetime, timedelta
 from ipaddress import IPv4Address
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxradius import server as server_module
@@ -498,6 +499,65 @@ def test_event_log_format(tmp_path, leg, peer, line):
     datetime.fromisoformat(instant)
 
 
+# case -> the reply as hex: code, identifier and length; the Response
+# Authenticator; each attribute.  None for a drop.
+GOLDEN_REPLIES = {
+    "authenticate-accept": (
+        "02010026"
+        "d8dd96c6384a65b73894b80ba61b1995"
+        "12126772616e7465643a2064656661756c74"),
+    "authenticate-challenge": (
+        "0b090042"
+        "aa058b353f6aa92b37f77614c075c062"
+        "181200000000000000000000000000000002"
+        "121c6f6e652d74696d652070617373776f7264207265717569726564"),
+    "authenticate-flood": (
+        "03090023"
+        "cd6102b4f4171182c16fb63ffd18984b"
+        "120f6163636573732064656e696564"),
+    "authenticate-bad-credentials": (
+        "03010023"
+        "9c0d77001592b8669f20ca086184af0f"
+        "120f6163636573732064656e696564"),
+    "authenticate-malformed": (
+        "03010023"
+        "9c0d77001592b8669f20ca086184af0f"
+        "120f6163636573732064656e696564"),
+    "complete-accept": (
+        "02090023"
+        "961d2677df6a2faca5bed0c1445c4206"
+        "120f6772616e7465643a20726f6f74"),
+    "complete-wrong-otp": (
+        "03090023"
+        "7caea6d7b15706cc0430be569bc75ceb"
+        "120f6163636573732064656e696564"),
+    "complete-unknown": (
+        "03090023"
+        "f4ad5a0aca298eab8bda0741406487f0"
+        "120f6163636573732064656e696564"),
+    "replay": (
+        "02010026"
+        "d8dd96c6384a65b73894b80ba61b1995"
+        "12126772616e7465643a2064656661756c74"),
+    "duplicate-id": None,
+    "unknown-client": None,
+    "undecodable": None,
+}
+
+
+@pytest.mark.parametrize("leg, peer, case", [(row[1], row[2], row[0]) for row in LEGS],
+                         ids=[row[0] for row in LEGS])
+def test_reply_bytes_are_pinned(tmp_path, monkeypatch, leg, peer, case):
+    """The exact bytes each leg's reply carries.  Request Authenticators and
+    State tokens come from a counter; the OTP never appears in a reply."""
+    server, _ = demo_server(tmp_path)
+    counter = itertools.count(1)
+    monkeypatch.setattr(secrets, "token_bytes",
+                        lambda nbytes: next(counter).to_bytes(nbytes, "big"))
+    response = server.handle_datagram(leg(server), peer, server.clock())
+    assert (None if response is None else response.hex()) == GOLDEN_REPLIES[case]
+
+
 def test_request_cannot_forge_an_event_line(tmp_path):
     """A User-Name carrying a newline and tabs stays inside its own field."""
     events = io.StringIO()
@@ -512,23 +572,81 @@ def test_request_cannot_forge_an_event_line(tmp_path):
     assert subject == "mallory\\n" + forged.replace("\t", "\\t")
 
 
+def first_wins_request(*attrs: tuple[int, bytes]) -> bytes:
+    """An Access-Request carrying `attrs` in order; User-Password values are
+    given in the clear and hidden here."""
+    ra = wire.random_authenticator()
+    return wire.encode_packet(Packet(PacketCode.ACCESS_REQUEST, 1, ra, tuple(
+        Attribute(kind, wire.hide_password(value, DEMO_SECRET, ra)
+                  if kind == wire.USER_PASSWORD else value)
+        for kind, value in attrs)))
+
+
+NAME, PASSWORD = (wire.USER_NAME, ALICE.encode()), (wire.USER_PASSWORD, ALICE_PW.encode())
+LOGIN = (wire.SERVICE_TYPE, wire.SERVICE_LOGIN_USER.to_bytes(4, "big"))
+ADMIN = (wire.SERVICE_TYPE, wire.SERVICE_ADMINISTRATIVE_USER.to_bytes(4, "big"))
+OFF_SITE = (wire.NAS_IP_ADDRESS, IPv4Address("203.0.113.7").packed)
+ON_SITE = (wire.NAS_IP_ADDRESS, IPv4Address("10.1.2.3").packed)
+# (case, the request's attributes in order, the reply code); alice is logged
+# in every case.
+FIRST_WINS = [
+    ("two-user-names", [NAME, (wire.USER_NAME, b"bob"), PASSWORD], ACCEPT),
+    ("two-passwords", [NAME, PASSWORD, (wire.USER_PASSWORD, b"wrong")], ACCEPT),
+    ("login-then-admin", [NAME, PASSWORD, LOGIN, ADMIN], ACCEPT),
+    ("admin-then-login", [NAME, PASSWORD, ADMIN, LOGIN], CHALLENGE),
+    ("one-octet-admin", [NAME, PASSWORD, (wire.SERVICE_TYPE, b"\x06")], CHALLENGE),
+    ("empty-service-type", [NAME, PASSWORD, (wire.SERVICE_TYPE, b"")], ACCEPT),
+    ("off-site-then-on-site", [NAME, PASSWORD, OFF_SITE, ON_SITE], CHALLENGE),
+    ("three-octet-nas-ip", [NAME, PASSWORD, (wire.NAS_IP_ADDRESS, b"\xcb\x00\x71")], ACCEPT),
+]
+
+
+@pytest.mark.parametrize("attrs, code", [row[1:] for row in FIRST_WINS],
+                         ids=[row[0] for row in FIRST_WINS])
+def test_first_attribute_of_each_type_counts(tmp_path, attrs, code):
+    """The first of each attribute the server reads decides; Service-Type is
+    an integer of any length, and NAS-IP-Address counts only at 4 octets."""
+    server, events = demo_server(tmp_path)
+    assert handle(server, first_wins_request(*attrs)).code is code
+    assert events.getvalue().split("\t")[2] == ALICE
+
+
+# Datagrams of every shape: raw bytes, or packets of the four codes with
+# random attributes of the types the server reads, Reply-Message and
+# Message-Authenticator.
+ANY_ATTRIBUTE = st.builds(Attribute, st.sampled_from([1, 2, 4, 6, 18, 24, 80]),
+                          st.binary(max_size=40))
+ANY_PACKET = st.builds(Packet, st.sampled_from([PacketCode(c) for c in (1, 2, 3, 11)]),
+                       st.integers(0, 255), st.binary(min_size=16, max_size=16),
+                       st.lists(ANY_ATTRIBUTE, max_size=8).map(tuple))
+ANY_DATAGRAM = st.one_of(
+    st.text(max_size=60).map(lambda name: access_request(name, "wrong")),
+    st.binary(max_size=80),
+    ANY_PACKET.map(wire.encode_packet),
+)
+EVENTS = {"accept", "challenge", "reject", "replay", "drop"}
+
+
 def test_any_user_name_writes_one_line_of_four_fields(tmp_path):
+    """Any datagram, from a configured peer or not, on a fresh or a reused
+    port, writes exactly one event line of four fields."""
     events = io.StringIO()
     config = load_server_config(write_demo_fixtures(tmp_path, port=0))
     server = Server(config, EventLog(stream=events))
     ports = itertools.count(1)  # a fresh dedup key per request
 
-    @given(st.text(max_size=60))
-    def one_request(name):
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(ANY_DATAGRAM, st.sampled_from([PEER, ELSEWHERE]), st.booleans())
+    def one_datagram(raw, peer, reuse_port):
         before = len(events.getvalue().splitlines())
-        raw = access_request(name, "wrong")
-        assert server.handle_datagram(raw, PEER, server.clock(), port=next(ports))
+        server.handle_datagram(raw, peer, server.clock(),
+                               port=0 if reuse_port else next(ports))
         lines = events.getvalue().splitlines()
         assert len(lines) == before + 1
         fields = lines[-1].split("\t")
-        assert len(fields) == 4 and fields[1] == "reject"
+        assert len(fields) == 4 and fields[1] in EVENTS
 
-    one_request()
+    one_datagram()
 
 
 def test_missing_user_store_is_startup_error(tmp_path):
@@ -599,6 +717,34 @@ def test_policy_and_port_bounds_are_inclusive(tmp_path):
     config = load_server_config(config_path)
     assert config.port == 65535
     assert config.auth_policy.otp_digits == wire.MAX_PASSWORD_LEN
+
+
+@pytest.mark.parametrize("malform, name", [
+    (lambda raw: raw["clients"][0].update(address=2130706433), "client address"),
+    (lambda raw: raw["context"].update(trusted_networks=[5]), "trusted_networks"),
+    (lambda raw: raw["context"].update(trusted_networks=["10.0.0.1/8"]), "trusted_networks"),
+], ids=["client-int", "trusted-int", "trusted-host-bits"])
+def test_networks_must_be_json_strings(tmp_path, malform, name):
+    """A network is a JSON string; a trusted network has no host bits set."""
+    import json
+
+    config_path = write_demo_fixtures(tmp_path, port=0)
+    raw = json.loads(config_path.read_text())
+    malform(raw)
+    config_path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match=name):
+        load_server_config(config_path)
+
+
+def test_client_address_may_have_host_bits(tmp_path):
+    import json
+    from ipaddress import IPv4Network
+
+    config_path = write_demo_fixtures(tmp_path, port=0)
+    raw = json.loads(config_path.read_text())
+    raw["clients"][0]["address"] = "127.0.0.1/8"
+    config_path.write_text(json.dumps(raw))
+    assert load_server_config(config_path).clients[0].network == IPv4Network("127.0.0.0/8")
 
 
 def test_empty_client_secret_rejected():
