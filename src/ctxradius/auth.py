@@ -24,7 +24,9 @@ import hashlib
 import hmac
 import json
 import math
+import os
 import secrets
+import weakref
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum, IntEnum
@@ -160,11 +162,10 @@ def verify_first_factor(username: str, password: bytes, store: UserStore) -> boo
 
 @dataclass(slots=True)
 class OtpChallenge:
-    state_token: bytes
     otp_value: str
     expires_at: datetime
     attempts_remaining: int
-    pending_action: RequestedAction
+    role: Role
 
 
 @dataclass(slots=True)
@@ -175,18 +176,20 @@ class Session:
 
 
 class DeliveryLog:
-    """Append-only simulated out-of-band channel, one line per OTP sent."""
+    """Append-only simulated out-of-band channel, one line per OTP sent.
+
+    The file is opened once; each line is one append-mode write, in the file
+    when `append` returns.  The descriptor closes when the log is collected."""
 
     def __init__(self, path: str | Path):
-        self._path = Path(path)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._path.touch(exist_ok=True)
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        weakref.finalize(self, os.close, self._fd)
 
     def append(self, instant: datetime, channel: str, otp: str) -> None:
-        line = f"{instant.isoformat()}\t{channel}\t{otp}\n"
-        with open(self._path, "a", encoding="utf-8") as fh:
-            fh.write(line)
-            fh.flush()
+        line = f"{instant.isoformat()}\t{channel}\t{otp}\n".encode()
+        if os.write(self._fd, line) != len(line):
+            raise OSError("short write to the delivery log")
 
 
 def latest_otp(path: str | Path, channel: str) -> str | None:
@@ -302,16 +305,15 @@ class Authenticator:
             if now < c.expires_at}
         if len(pending) >= MAX_PENDING_PER_USER:
             return AuthDecision.reject(RejectReason.CHALLENGE_FLOOD)
-        challenge = OtpChallenge(
-            state_token=secrets.token_bytes(16),
+        token = secrets.token_bytes(16)
+        pending[token] = challenge = OtpChallenge(
             otp_value=self._random_otp(),
             expires_at=now + timedelta(seconds=self.policy.otp_ttl_seconds),
             attempts_remaining=self.policy.otp_max_attempts,
-            pending_action=action,
+            role=role,
         )
-        pending[challenge.state_token] = challenge
         self.delivery.append(now, self.users.get(username).otp_channel, challenge.otp_value)
-        return AuthDecision.challenge(challenge.state_token)
+        return AuthDecision.challenge(token)
 
     def complete_challenge(self, state_token: bytes, otp: str, username: str,
                            now: datetime) -> AuthDecision:
@@ -320,19 +322,17 @@ class Authenticator:
         A token is looked up only among the named user's challenges, so a
         token that is unknown, expired or issued to another user is unknown
         to this leg, and another user's leg leaves the challenge and its
-        attempts as they were.  A wrong OTP spends one attempt; the last one
-        spent ends the challenge.  A right OTP consumes the token.
+        attempts as they were.  Every leg takes the challenge out, and only a
+        wrong OTP with attempts left puts it back, so a token is single-use.
         """
         pending = self._challenges.get(username, {})
-        challenge = pending.get(state_token)
+        challenge = pending.pop(state_token, None)
         if challenge is None or now >= challenge.expires_at:
-            pending.pop(state_token, None)
             return AuthDecision.reject(RejectReason.UNKNOWN_CHALLENGE)
         if not hmac.compare_digest(otp.encode(), challenge.otp_value.encode()):
             challenge.attempts_remaining -= 1
-            if challenge.attempts_remaining <= 0:
-                del pending[state_token]
+            if challenge.attempts_remaining > 0:
+                pending[state_token] = challenge
             return AuthDecision.reject(RejectReason.BAD_OTP)
-        del pending[state_token]  # single-use
-        session = self._admit(username, ROLE_FOR_ACTION[challenge.pending_action], 2, now)
+        session = self._admit(username, challenge.role, 2, now)
         return AuthDecision.accept(session.granted_role)

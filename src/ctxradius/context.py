@@ -80,18 +80,20 @@ class ContextConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> ContextConfig:
         """Build from config-file keys: weekday names, "HH:MM" times,
-        "+HH:MM" offset, "a.b.c.d/len" networks."""
+        "+HH:MM" offset, "a.b.c.d/len" networks; another key is a TypeError."""
+        raw = {**raw}
         try:
-            days = frozenset(WEEKDAYS[d.lower()] for d in raw["working_days"])
+            days = frozenset(WEEKDAYS[d.lower()] for d in raw.pop("working_days"))
         except KeyError as exc:
             raise ConfigError(f"unknown weekday name {exc}") from None
         return cls(
             working_days=days,
-            day_start=_parse_hhmm(raw["day_start"]),
-            day_end=_parse_hhmm(raw["day_end"]),
-            utc_offset=parse_utc_offset(raw["timezone"]),
+            day_start=_parse_hhmm(raw.pop("day_start")),
+            day_end=_parse_hhmm(raw.pop("day_end")),
+            utc_offset=parse_utc_offset(raw.pop("timezone")),
             trusted_networks=tuple(require_network("trusted_networks entry", n)
-                                   for n in raw["trusted_networks"]),
+                                   for n in raw.pop("trusted_networks")),
+            **raw,
         )
 
 

@@ -107,8 +107,9 @@ class ServerConfig:
 def load_server_config(path: str | Path) -> ServerConfig:
     """Parse the JSON config file; relative paths are anchored at the file.
 
-    A value of a JSON type the parser cannot use raises ConfigError, like
-    a bad value does, not the TypeError or AttributeError it caused.
+    Keys under "otp" and "session" set the `otp_` and `session_` fields.
+    An unknown key, or a value of a JSON type the parser cannot use, raises
+    ConfigError, not the TypeError or AttributeError it caused.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -116,31 +117,26 @@ def load_server_config(path: str | Path) -> ServerConfig:
 
     base = path.parent
     try:
-        clients = tuple(
-            ClientEntry(require_network("client address", entry["address"], strict=False),
-                        bytes.fromhex(entry["secret_hex"]))
-            for entry in raw.get("clients", [])
-        )
-        otp = raw.get("otp", {})
-        session = raw.get("session", {})
-        policy = AuthPolicy(
-            otp_ttl_seconds=otp.get("ttl_seconds", 120),
-            otp_max_attempts=otp.get("max_attempts", 3),
-            otp_digits=otp.get("digits", 6),
-            session_ttl_seconds=session.get("ttl_seconds", 8 * 3600),
-        )
-        override = raw.get("clock_override")
-        return ServerConfig(
-            context=ContextConfig.from_dict(raw["context"]),
-            clients=clients,
-            user_store_path=base / raw["user_store_path"],
-            delivery_log_path=base / raw["delivery_log_path"],
-            bind_address=raw.get("bind_address", "127.0.0.1"),
-            port=raw.get("port", 1812),
-            auth_policy=policy,
-            dedup_window_seconds=raw.get("dedup_window_seconds", 30),
-            clock_override=datetime.fromisoformat(override) if override else None,
-        )
+        raw = {**raw}
+        clients = []
+        for entry in raw.pop("clients", ()):
+            entry = {**entry}
+            network = require_network("client address", entry.pop("address"), strict=False)
+            try:
+                secret = bytes.fromhex(entry.pop("secret_hex"))
+            except ValueError as exc:
+                raise ConfigError(f"secret_hex: {exc}") from None
+            clients.append(ClientEntry(network, secret, **entry))
+        policy = AuthPolicy(**{f"otp_{k}": v for k, v in raw.pop("otp", {}).items()},
+                            **{f"session_{k}": v for k, v in raw.pop("session", {}).items()})
+        override = raw.pop("clock_override", None)
+        context = ContextConfig.from_dict(raw.pop("context"))
+        user_store_path = base / raw.pop("user_store_path")
+        delivery_log_path = base / raw.pop("delivery_log_path")
+        return ServerConfig(context, tuple(clients), user_store_path, delivery_log_path,
+                            auth_policy=policy,
+                            clock_override=datetime.fromisoformat(override) if override else None,
+                            **raw)
     except (TypeError, AttributeError) as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 

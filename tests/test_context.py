@@ -104,6 +104,16 @@ def test_from_dict():
     assert len(cfg.trusted_networks) == 2
 
 
+def test_from_dict_rejects_an_unknown_key_and_leaves_its_argument():
+    raw = {"working_days": ["monday"], "day_start": "08:00", "day_end": "17:00",
+           "timezone": "+00:00", "trusted_networks": ["10.0.0.0/8"]}
+    before = dict(raw)
+    ContextConfig.from_dict(raw)
+    assert raw == before
+    with pytest.raises(TypeError, match="trusted_network"):
+        ContextConfig.from_dict({**raw, "trusted_network": ["10.0.0.0/8"]})
+
+
 @pytest.mark.parametrize("text", ["utc", "+2:00", "+0200", "+aa:bb"])
 def test_bad_offset_rejected(text):
     with pytest.raises(ConfigError):

@@ -240,10 +240,23 @@ def test_cli_serve_startup_failure_exits_nonzero(tmp_path, capsys):
     lambda raw: raw.update(user_store_path=5),
     lambda raw: raw["clients"][0].update(address=2130706433),
     lambda raw: raw["context"].update(trusted_networks=[5]),
+    lambda raw: raw.update(dedup_window_second=60),
+    lambda raw: raw["otp"].update(max_attempt=10),
+    lambda raw: raw["session"].update(ttl=60),
+    lambda raw: raw["clients"][0].update(require_message_authenticator=True),
+    lambda raw: raw["context"].update(trusted_network=["10.0.0.0/8"]),
+    lambda raw: raw["clients"][0].update(secret_hex="64656d6f2d..."),
 ], ids=["bind_address", "clock_override", "timezone", "clients-object", "client-string",
-        "secret_hex", "user_store_path", "client-int-address", "trusted-int-network"])
-def test_cli_serve_malformed_config_exits_nonzero(tmp_path, capsys, malform):
+        "secret_hex", "user_store_path", "client-int-address", "trusted-int-network",
+        "unknown-top-level-key", "unknown-otp-key", "unknown-session-key",
+        "unknown-client-key", "unknown-context-key", "secret_hex-not-hex"])
+def test_cli_serve_malformed_config_exits_nonzero(tmp_path, capsys, monkeypatch, malform):
     """A value of the wrong JSON type fails at load with one line, not a traceback."""
+    def loaded(config):
+        raise AssertionError("config loaded")
+
+    # a config the loader wrongly accepts fails here instead of serving forever
+    monkeypatch.setattr("ctxradius.cli.run_server", loaded)
     config_path = write_demo_fixtures(tmp_path, port=0)
     raw = json.loads(config_path.read_text())
     malform(raw)

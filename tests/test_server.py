@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import os
 import secrets
 import sys
 import threading
@@ -16,7 +17,13 @@ from hypothesis import strategies as st
 
 from ctxradius import server as server_module
 from ctxradius import wire
-from ctxradius.auth import MAX_PENDING_PER_USER, latest_otp
+from ctxradius.auth import (
+    MAX_PENDING_PER_USER,
+    AuthPolicy,
+    UserRecord,
+    UserStore,
+    latest_otp,
+)
 from ctxradius.context import ConfigError
 from ctxradius.scenarios import DEMO_SECRET, DEMO_USERS, write_demo_fixtures
 from ctxradius.server import (
@@ -752,3 +759,117 @@ def test_empty_client_secret_rejected():
 
     with pytest.raises(ConfigError):
         ClientEntry(IPv4Network("127.0.0.0/8"), b"")
+
+
+@pytest.mark.parametrize("malform, name", [
+    (lambda raw: raw.update(dedup_window_second=60), "dedup_window_second"),
+    (lambda raw: raw["otp"].update(max_attempt=10), "max_attempt"),
+    (lambda raw: raw["session"].update(ttl=60), "session_ttl"),
+    (lambda raw: raw["clients"][0].update(require_message_authenticator=True),
+     "require_message_authenticator"),
+    (lambda raw: raw["context"].update(trusted_network=["10.0.0.0/8"]), "trusted_network"),
+    (lambda raw: raw["clients"][0].update(secret_hex="64656d6f2d..."), "secret_hex"),
+], ids=["top-level", "otp", "session", "client", "context", "secret-not-hex"])
+def test_unknown_key_or_bad_secret_named_at_load(tmp_path, malform, name):
+    """A key the loader does not read is an error, not ignored, as is a non-hex secret."""
+    import json
+
+    config_path = write_demo_fixtures(tmp_path, port=0)
+    raw = json.loads(config_path.read_text())
+    malform(raw)
+    config_path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match=name):
+        load_server_config(config_path)
+
+
+def test_absent_keys_take_the_declared_defaults(tmp_path):
+    import json
+
+    config_path = write_demo_fixtures(tmp_path, port=0)
+    raw = json.loads(config_path.read_text())
+    for key in ("bind_address", "port", "session", "clock_override"):
+        del raw[key]
+    raw["otp"] = {"digits": 8}
+    config_path.write_text(json.dumps(raw))
+    config = load_server_config(config_path)
+    assert (config.bind_address, config.port) == ("127.0.0.1", 1812)
+    assert config.dedup_window_seconds == 30
+    assert config.clock_override is None
+    assert config.auth_policy == AuthPolicy(otp_ttl_seconds=120, otp_max_attempts=3,
+                                            otp_digits=8, session_ttl_seconds=28800)
+
+
+def test_readme_config_example_loads(tmp_path):
+    """The first JSON block under the README's "Server configuration" loads."""
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Server configuration\n", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    (tmp_path / "config.json").write_text(example, encoding="utf-8")
+    UserStore.save(tmp_path / "users.json", [UserRecord.create(ALICE, ALICE_PW, "sms:alice")])
+    config = load_server_config(tmp_path / "config.json")
+    Server(config, EventLog(stream=io.StringIO()))
+    assert config.port == 1812
+    assert config.dedup_window_seconds == 30
+    assert config.clients[0].shared_secret == DEMO_SECRET
+    assert config.auth_policy == AuthPolicy(otp_ttl_seconds=120, otp_max_attempts=3,
+                                            otp_digits=6, session_ttl_seconds=28800)
+
+
+@pytest.mark.parametrize("clients, secret_for_127_0_0_1", [
+    ([("127.0.0.1/32", b"secret-a"), ("127.0.0.0/8", b"secret-b")], b"secret-a"),
+    ([("127.0.0.0/8", b"secret-b"), ("127.0.0.1/32", b"secret-a")], b"secret-b"),
+], ids=["host-first", "network-first"])
+def test_overlapping_clients_first_entry_in_config_order_wins(tmp_path, clients,
+                                                              secret_for_127_0_0_1):
+    import json
+
+    config_path = write_demo_fixtures(tmp_path, port=0)
+    raw = json.loads(config_path.read_text())
+    raw["clients"] = [{"address": address, "secret_hex": secret.hex()}
+                      for address, secret in clients]
+    config_path.write_text(json.dumps(raw))
+    server = Server(load_server_config(config_path), EventLog(stream=io.StringIO()))
+    for peer, secret in [("127.0.0.1", secret_for_127_0_0_1), ("127.0.0.2", b"secret-b")]:
+        ra = wire.random_authenticator()
+        reply = handle(server, access_request(ALICE, ALICE_PW, secret=secret, ra=ra),
+                       IPv4Address(peer))
+        assert reply.code is ACCEPT
+        assert wire.verify_response_authenticator(reply, ra, secret)
+
+
+def test_challenge_opens_no_file(tmp_path, monkeypatch):
+    """The delivery log is opened at startup: issuing a challenge opens no
+    file, and its OTP line is in the file when `handle_datagram` returns."""
+    import builtins
+
+    server, _ = demo_server(tmp_path)
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("open called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", no_open)
+        reply = handle(server, root_leg(1))
+    assert reply.code is CHALLENGE
+    otp = latest_otp(server.config.delivery_log_path, "sms:alice")
+    assert handle(server, root_leg(2, otp, reply.first(wire.STATE))).code is ACCEPT
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_dropped_servers_leave_no_descriptor_open(tmp_path):
+    import gc
+
+    def open_descriptors() -> int:
+        gc.collect()
+        return len(os.listdir("/proc/self/fd"))
+
+    config = load_server_config(write_demo_fixtures(tmp_path, port=0))
+    before = open_descriptors()
+    for _ in range(50):
+        server = Server(config, EventLog(stream=io.StringIO()))
+        assert handle(server, root_leg(1)).code is CHALLENGE
+        del server
+    assert open_descriptors() <= before
