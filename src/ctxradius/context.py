@@ -80,10 +80,12 @@ class ContextConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> ContextConfig:
         """Build from config-file keys: weekday names, "HH:MM" times,
-        "+HH:MM" offset, "a.b.c.d/len" networks; another key is a TypeError."""
+        "+HH:MM" offset, "a.b.c.d/len" networks; another key is a TypeError
+        and a missing one a KeyError naming it."""
         raw = {**raw}
+        names = raw.pop("working_days")
         try:
-            days = frozenset(WEEKDAYS[d.lower()] for d in raw.pop("working_days"))
+            days = frozenset(WEEKDAYS[d.lower()] for d in names)
         except KeyError as exc:
             raise ConfigError(f"unknown weekday name {exc}") from None
         return cls(
@@ -138,7 +140,7 @@ def parse_utc_offset(text: str) -> timezone:
     return timezone(-delta if text[0] == "-" else delta)
 
 
-def evaluate_plausibility(source_address: IPv4Address, now: datetime,
+def evaluate_plausibility(source_address: IPv4Address | int, now: datetime,
                           config: ContextConfig) -> ContextVerdict:
     """A request is plausible iff it is in working hours AND on site.
 
@@ -153,5 +155,6 @@ def evaluate_plausibility(source_address: IPv4Address, now: datetime,
         local.weekday() in config.working_days
         and config.day_start <= local.time() < config.day_end
     )
-    on_site = any(source_address in net for net in config.trusted_networks)
+    on_site = any(int(source_address) & int(net.netmask) == int(net.network_address)
+                  for net in config.trusted_networks)
     return _VERDICTS[in_hours, on_site]

@@ -50,11 +50,14 @@ from .context import (
     require_number,
 )
 from .policy import RequestedAction
-from .wire import Attribute, Packet, PacketCode, WireError
+from .wire import PacketCode, WireError
 
-REJECT_MESSAGE = b"access denied"
-OTP_PROMPT = b"one-time password required"
 ROLE_NAMES = {Role.DEFAULT: "default", Role.ROOT: "root"}
+# Encoded reply attributes; each Accept's is keyed by the role granted.
+_ACCEPTS = {role: (wire.encode_attribute(wire.REPLY_MESSAGE, f"granted: {name}".encode()),
+                   f"granted: {name}") for role, name in ROLE_NAMES.items()}
+_REJECT_BODY = wire.encode_attribute(wire.REPLY_MESSAGE, b"access denied")
+_PROMPT = wire.encode_attribute(wire.REPLY_MESSAGE, b"one-time password required")
 
 # Entries per dedup generation; two generations bound the cache at 16384
 # entries, FreeRADIUS's default max_requests.
@@ -108,8 +111,9 @@ def load_server_config(path: str | Path) -> ServerConfig:
     """Parse the JSON config file; relative paths are anchored at the file.
 
     Keys under "otp" and "session" set the `otp_` and `session_` fields.
-    An unknown key, or a value of a JSON type the parser cannot use, raises
-    ConfigError, not the TypeError or AttributeError it caused.
+    An unknown or missing key, or a value of a JSON type the parser cannot
+    use, raises ConfigError, not the TypeError, KeyError or AttributeError
+    it caused.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -139,6 +143,8 @@ def load_server_config(path: str | Path) -> ServerConfig:
                             **raw)
     except (TypeError, AttributeError) as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"malformed config {path}: missing key {exc}") from exc
 
 
 # Escapes for event-log fields: backslash, tab, CR and LF by name, the other
@@ -210,62 +216,62 @@ class Server:
 
     # -- request handling ----------------------------------------------------
 
-    def handle_datagram(self, data: bytes, peer: IPv4Address, now: datetime,
+    def handle_datagram(self, data: bytes, peer: IPv4Address | str, now: datetime,
                         *, port: int = 0) -> bytes | None:
         """Process one datagram from `peer`:`port`; None means drop silently.
 
-        Dedup lookup, decision, render and store form one critical section
-        under the Server's lock, so any thread may call this.  Every datagram
-        writes exactly one event line, here, after the lock is released.
+        `peer` is an IPv4Address or its dotted string.  Dedup lookup,
+        decision, render and store form one critical section under the
+        Server's lock, so any thread may call this.  Every datagram writes
+        exactly one event line, here, after the lock is released.
         """
-        event, subject, detail, response = self._handle(data, peer, now, port)
+        event, subject, detail, response = self._handle(data, str(peer), now, port)
         self.events.log(now, event, subject, detail)
         return response
 
-    def _handle(self, data: bytes, peer: IPv4Address, now: datetime,
+    def _handle(self, data: bytes, name: str, now: datetime,
                 port: int) -> tuple[str, str, str, bytes | None]:
         """The event, subject and detail of the datagram's event line, and its reply."""
+        peer = int.from_bytes(socket.inet_aton(name), "big")
         client = self._client_for(peer)
         if client is None:
-            return "drop", str(peer), "unknown client", None
+            return "drop", name, "unknown client", None
         try:
-            request = wire.decode_packet(data)
+            code, identifier, ra, attributes = wire.scan_packet(data)
         except WireError as exc:
-            return "drop", str(peer), f"undecodable: {exc}", None
-        if request.code is not PacketCode.ACCESS_REQUEST:
-            return "drop", str(peer), f"unexpected code {request.code.name}", None
+            return "drop", name, f"undecodable: {exc}", None
+        if code != PacketCode.ACCESS_REQUEST:
+            return "drop", name, f"unexpected code {PacketCode(code).name}", None
 
-        key = int(peer) << 24 | port << 8 | request.identifier
+        key = peer << 24 | port << 8 | identifier
         stamp = _stamp(now)
         cutoff = stamp - self._dedup_window_us
         with self._lock:
             # the current generation holds the newer entry; a value is never empty
             cached = self._dedup.get(key) or self._dedup_old.get(key)
             if cached and _STAMP.unpack_from(cached)[0] > cutoff:
-                if cached[8:24] == request.authenticator:
-                    return "replay", str(peer), f"id={request.identifier}", cached[24:]
-                return ("drop", str(peer),
-                        f"duplicate id={request.identifier} in dedup window", None)
-            decision, username = self._decide(request, client, peer, now)
-            code, attrs, detail = _outcome(decision)
+                if cached[8:24] == ra:
+                    return "replay", name, f"id={identifier}", cached[24:]
+                return "drop", name, f"duplicate id={identifier} in dedup window", None
+            decision, username = self._decide(attributes, ra, client, peer, now)
+            code, body, detail = _outcome(decision)
             response = wire.stamp_response(
-                wire.encode_packet(Packet(code, request.identifier, bytes(16), attrs)),
-                request.authenticator, client.shared_secret)
+                wire.frame(code, identifier, bytes(16), body), ra, client.shared_secret)
             if self._dedup_since <= cutoff or len(self._dedup) >= DEDUP_GENERATION:
                 self._dedup_old, self._dedup, self._dedup_since = self._dedup, {}, stamp
-            self._dedup[key] = _STAMP.pack(stamp) + request.authenticator + response
-        return decision.outcome.value, username or str(peer), detail, response
+            self._dedup[key] = _STAMP.pack(stamp) + ra + response
+        return decision.outcome.value, username or name, detail, response
 
-    def _client_for(self, peer: IPv4Address) -> ClientEntry | None:
+    def _client_for(self, peer: int) -> ClientEntry | None:
         for entry in self.config.clients:
-            if peer in entry.network:
+            if peer & int(entry.network.netmask) == int(entry.network.network_address):
                 return entry
         return None
 
-    def _decide(self, request: Packet, client: ClientEntry, peer: IPv4Address,
-                now: datetime) -> tuple[AuthDecision, str | None]:
+    def _decide(self, attributes: list[tuple[int, bytes]], ra: bytes, client: ClientEntry,
+                peer: int, now: datetime) -> tuple[AuthDecision, str | None]:
         """Recover the request's fields, the first of each type, and decide."""
-        first = {attr.attr_type: attr.value for attr in reversed(request.attributes)}
+        first = dict(reversed(attributes))
         username = None
         raw_name = first.get(wire.USER_NAME)
         if raw_name is not None:
@@ -278,8 +284,7 @@ class Server:
         password = None
         if hidden is not None:
             try:
-                password = wire.recover_password(
-                    hidden, client.shared_secret, request.authenticator)
+                password = wire.recover_password(hidden, client.shared_secret, ra)
             except WireError:
                 return AuthDecision.reject(RejectReason.MALFORMED_REQUEST), username
         if username is None or password is None:
@@ -295,7 +300,7 @@ class Server:
         root = service and int.from_bytes(service, "big") == wire.SERVICE_ADMINISTRATIVE_USER
         action = RequestedAction.ROOT_ACCESS if root else RequestedAction.DEFAULT_ACCESS
         nas_ip = first.get(wire.NAS_IP_ADDRESS)
-        source = IPv4Address(nas_ip) if nas_ip is not None and len(nas_ip) == 4 else peer
+        source = int.from_bytes(nas_ip, "big") if nas_ip is not None and len(nas_ip) == 4 else peer
         verdict = evaluate_plausibility(source, now, self.config.context)
         return self.auth.authenticate(username, password, action, verdict, now), username
 
@@ -343,8 +348,7 @@ class Server:
 
     def _serve_one(self, data: bytes, addr: tuple[str, int]) -> None:
         try:
-            response = self.handle_datagram(
-                data, IPv4Address(addr[0]), self.clock(), port=addr[1])
+            response = self.handle_datagram(data, addr[0], self.clock(), port=addr[1])
         except Exception as exc:  # never let a handler kill the loop
             self.events.log(self.clock(), "error", addr[0], repr(exc))
             return
@@ -358,18 +362,15 @@ class Server:
         self._stop.set()
 
 
-def _outcome(decision: AuthDecision) -> tuple[PacketCode, tuple[Attribute, ...], str]:
-    """The reply code, the reply attributes and the event detail of a decision."""
+def _outcome(decision: AuthDecision) -> tuple[int, bytes, str]:
+    """The reply code, the encoded reply attributes and the event detail of a decision."""
     if decision.outcome is Outcome.ACCEPT:
-        detail = f"granted: {ROLE_NAMES[decision.granted_role]}"
-        return PacketCode.ACCESS_ACCEPT, (Attribute(wire.REPLY_MESSAGE, detail.encode()),), detail
+        return (PacketCode.ACCESS_ACCEPT, *_ACCEPTS[decision.granted_role])
     if decision.outcome is Outcome.CHALLENGE:
         return (PacketCode.ACCESS_CHALLENGE,
-                (Attribute(wire.STATE, decision.state_token),
-                 Attribute(wire.REPLY_MESSAGE, OTP_PROMPT)),
+                wire.encode_attribute(wire.STATE, decision.state_token) + _PROMPT,
                 "otp challenge issued")
-    return (PacketCode.ACCESS_REJECT, (Attribute(wire.REPLY_MESSAGE, REJECT_MESSAGE),),
-            decision.reason.value)
+    return PacketCode.ACCESS_REJECT, _REJECT_BODY, decision.reason.value
 
 
 def _stamp(now: datetime) -> int:

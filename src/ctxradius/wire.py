@@ -162,37 +162,39 @@ def random_authenticator() -> bytes:
     return secrets.token_bytes(16)
 
 
-def encode_packet(packet: Packet) -> bytes:
-    """Serialise a packet: code(1) id(1) length(2,BE) authenticator(16) attrs.
+def encode_attribute(attr_type: int, value: bytes) -> bytes:
+    """One attribute: its type, length and value octets."""
+    return bytes((attr_type, len(value) + 2)) + value
 
-    Raises PacketTooLong when the result would exceed the wire limit; the
-    Attribute itself bounds each value.
-    """
-    body = b""
-    for attr in packet.attributes:
-        body += struct.pack("!BB", attr.attr_type, len(attr.value) + 2) + attr.value
+
+def frame(code: int, identifier: int, authenticator: bytes, body: bytes) -> bytes:
+    """A packet: code(1) id(1) length(2,BE) authenticator(16) body; PacketTooLong past the limit."""
     length = HEADER_LEN + len(body)
     if length > MAX_PACKET_LEN:
         raise PacketTooLong(f"encoded packet is {length} octets, maximum is {MAX_PACKET_LEN}")
-    header = struct.pack("!BBH", packet.code, packet.identifier, length)
-    return header + packet.authenticator + body
+    return struct.pack("!BBH", code, identifier, length) + authenticator + body
 
 
-def decode_packet(data: bytes) -> Packet:
-    """Parse a datagram into a Packet.
+def encode_packet(packet: Packet) -> bytes:
+    """Serialise a packet; the Attribute itself bounds each value."""
+    body = b"".join(encode_attribute(attr.attr_type, attr.value) for attr in packet.attributes)
+    return frame(packet.code, packet.identifier, packet.authenticator, body)
 
-    Total over arbitrary input: returns a Packet or raises a WireError
-    subclass, never anything else.  The declared length field governs;
-    surplus octets beyond it are ignored.
-    """
+
+def scan_packet(data: bytes) -> tuple[int, int, bytes, list[tuple[int, bytes]]]:
+    """Walk a datagram once, with no per-attribute objects: its code,
+    identifier, authenticator and `(type, value)` pairs in wire order.
+
+    Total over arbitrary input: raises only WireError subclasses, each
+    attribute's fault in turn, then an unknown code.  The declared length
+    governs; surplus octets beyond it are ignored."""
     if len(data) < HEADER_LEN:
         raise Truncated(f"{len(data)} octets is below the {HEADER_LEN}-octet header")
-    code, identifier, length = struct.unpack("!BBH", data[:4])
+    code, identifier, length = struct.unpack_from("!BBH", data)
     if length < HEADER_LEN:
         raise Truncated(f"declared length {length} is below the header size")
     if len(data) < length:
         raise Truncated(f"{len(data)} octets received, {length} declared")
-    authenticator = data[4:20]
 
     attributes = []
     pos = HEADER_LEN
@@ -205,10 +207,19 @@ def decode_packet(data: bytes) -> Packet:
             raise MalformedAttribute(f"attribute length {attr_len} is below 2")
         if pos + attr_len > length:
             raise MalformedAttribute("attribute overruns the declared packet length")
-        attributes.append(Attribute(attr_type, data[pos + 2:pos + attr_len]))
+        if not attr_type:
+            raise MalformedAttribute("attribute type 0 outside 1-255")
+        attributes.append((attr_type, data[pos + 2:pos + attr_len]))
         pos += attr_len
+    if code not in CODE_NAMES:
+        raise UnknownCode(f"packet code {code} is not a known code")
+    return code, identifier, data[4:HEADER_LEN], attributes
 
-    return Packet(code, identifier, authenticator, tuple(attributes))
+
+def decode_packet(data: bytes) -> Packet:
+    """`scan_packet`'s result as a Packet; total over input in the same way."""
+    code, identifier, authenticator, pairs = scan_packet(data)
+    return Packet(code, identifier, authenticator, tuple(Attribute(*pair) for pair in pairs))
 
 
 def hide_password(plaintext: bytes, secret: bytes, ra: bytes) -> bytes:

@@ -114,6 +114,13 @@ def test_from_dict_rejects_an_unknown_key_and_leaves_its_argument():
         ContextConfig.from_dict({**raw, "trusted_network": ["10.0.0.0/8"]})
 
 
+def test_from_dict_names_a_missing_working_days():
+    raw = {"day_start": "08:00", "day_end": "17:00", "timezone": "+00:00",
+           "trusted_networks": ["10.0.0.0/8"]}
+    with pytest.raises(KeyError, match="working_days"):
+        ContextConfig.from_dict(raw)
+
+
 @pytest.mark.parametrize("text", ["utc", "+2:00", "+0200", "+aa:bb"])
 def test_bad_offset_rejected(text):
     with pytest.raises(ConfigError):

@@ -246,10 +246,13 @@ def test_cli_serve_startup_failure_exits_nonzero(tmp_path, capsys):
     lambda raw: raw["clients"][0].update(require_message_authenticator=True),
     lambda raw: raw["context"].update(trusted_network=["10.0.0.0/8"]),
     lambda raw: raw["clients"][0].update(secret_hex="64656d6f2d..."),
+    lambda raw: raw.pop("user_store_path"),
+    lambda raw: raw["clients"][0].pop("address"),
 ], ids=["bind_address", "clock_override", "timezone", "clients-object", "client-string",
         "secret_hex", "user_store_path", "client-int-address", "trusted-int-network",
         "unknown-top-level-key", "unknown-otp-key", "unknown-session-key",
-        "unknown-client-key", "unknown-context-key", "secret_hex-not-hex"])
+        "unknown-client-key", "unknown-context-key", "secret_hex-not-hex",
+        "missing-user-store-path", "missing-client-address"])
 def test_cli_serve_malformed_config_exits_nonzero(tmp_path, capsys, monkeypatch, malform):
     """A value of the wrong JSON type fails at load with one line, not a traceback."""
     def loaded(config):

@@ -24,7 +24,7 @@ from ctxradius.auth import (
     UserStore,
     latest_otp,
 )
-from ctxradius.context import ConfigError
+from ctxradius.context import ConfigError, ImplausibilityReason, evaluate_plausibility
 from ctxradius.scenarios import DEMO_SECRET, DEMO_USERS, write_demo_fixtures
 from ctxradius.server import (
     ROLE_NAMES,
@@ -209,6 +209,34 @@ def test_unknown_peer_dropped(server):
 
 def test_undecodable_datagram_dropped(server):
     assert server.handle_datagram(b"\x01\x02\x03", PEER, server.clock()) is None
+
+
+def datagram(code: int, attrs: bytes, length: int | None = None) -> bytes:
+    """A header declaring `length` (by default the true length), then `attrs`."""
+    length = wire.HEADER_LEN + len(attrs) if length is None else length
+    return bytes((code, 1)) + length.to_bytes(2, "big") + bytes(16) + attrs
+
+
+# (case, a datagram with more than one fault, the detail of its drop line): the
+# attributes are walked in order, each checked for a dangling octet, a length
+# below 2, an overrun and type 0, and the code is checked only after the walk.
+FIRST_FAULTS = [
+    ("unknown-code-and-type-0", datagram(99, b"\x00\x02"), "attribute type 0 outside 1-255"),
+    ("type-0-then-dangling", datagram(1, b"\x00\x02\x01"), "attribute type 0 outside 1-255"),
+    ("length-1-then-type-0", datagram(1, b"\x01\x01\x00\x02"), "attribute length 1 is below 2"),
+    ("unknown-code", datagram(99, b"\x01\x07alice"), "packet code 99 is not a known code"),
+    ("length-below-header", datagram(1, b"", length=19),
+     "declared length 19 is below the header size"),
+    ("length-past-data", datagram(1, b"", length=30), "20 octets received, 30 declared"),
+]
+
+
+@pytest.mark.parametrize("raw, detail", [row[1:] for row in FIRST_FAULTS],
+                         ids=[row[0] for row in FIRST_FAULTS])
+def test_undecodable_detail_names_the_first_fault(tmp_path, raw, detail):
+    server, events = demo_server(tmp_path)
+    assert server.handle_datagram(raw, PEER, server.clock()) is None
+    assert events.getvalue().split("\t")[1:] == ["drop", str(PEER), f"undecodable: {detail}\n"]
 
 
 def test_response_code_datagram_dropped(server):
@@ -565,6 +593,46 @@ def test_reply_bytes_are_pinned(tmp_path, monkeypatch, leg, peer, case):
     assert (None if response is None else response.hex()) == GOLDEN_REPLIES[case]
 
 
+@pytest.mark.parametrize("leg, peer", [(row[1], row[2]) for row in LEGS],
+                         ids=[row[0] for row in LEGS])
+def test_peer_as_address_or_dotted_string_is_one_request(tmp_path, monkeypatch, leg, peer):
+    """A peer given as an IPv4Address, or as the dotted string the socket
+    reports, gets the same reply bytes and writes the same event lines."""
+    outcomes = []
+    for form in (peer, str(peer)):
+        server, events = demo_server(tmp_path / type(form).__name__)
+        counter = itertools.count(1)
+        monkeypatch.setattr(secrets, "token_bytes",
+                            lambda nbytes: next(counter).to_bytes(nbytes, "big"))
+        outcomes.append((server.handle_datagram(leg(server), form, server.clock()),
+                         events.getvalue()))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("network", [
+    "10.0.0.0/8", "192.168.1.0/24", "203.0.113.7/32", "0.0.0.0/0"], ids=str)
+def test_int_address_placed_as_ipaddress_places_it(tmp_path, network):
+    """`_client_for` and `evaluate_plausibility` place an int address as
+    `ipaddress` places the IPv4Address: at a network's first and last
+    address, and at the addresses just outside it."""
+    import dataclasses
+    from ipaddress import IPv4Network
+
+    network = IPv4Network(network)
+    config = load_server_config(write_demo_fixtures(tmp_path, port=0))
+    entry = ClientEntry(network, DEMO_SECRET)
+    server = Server(dataclasses.replace(config, clients=(entry,)),
+                    EventLog(stream=io.StringIO()))
+    context = dataclasses.replace(config.context, trusted_networks=(network,))
+    first, last = int(network.network_address), int(network.broadcast_address)
+    for value in (first, last, (first - 1) % 2**32, (last + 1) % 2**32):
+        address = IPv4Address(value)
+        assert (server._client_for(value) is entry) is (address in network)
+        verdict = evaluate_plausibility(address, server.clock(), context)
+        assert evaluate_plausibility(value, server.clock(), context) is verdict
+        assert (ImplausibilityReason.OFF_SITE not in verdict.reasons) is (address in network)
+
+
 def test_request_cannot_forge_an_event_line(tmp_path):
     """A User-Name carrying a newline and tabs stays inside its own field."""
     events = io.StringIO()
@@ -779,6 +847,23 @@ def test_unknown_key_or_bad_secret_named_at_load(tmp_path, malform, name):
     malform(raw)
     config_path.write_text(json.dumps(raw))
     with pytest.raises(ConfigError, match=name):
+        load_server_config(config_path)
+
+
+@pytest.mark.parametrize("malform, key", [
+    (lambda raw: raw.pop("user_store_path"), "user_store_path"),
+    (lambda raw: raw["clients"][0].pop("address"), "address"),
+    (lambda raw: raw["context"].pop("working_days"), "working_days"),
+], ids=["user_store_path", "client-address", "working_days"])
+def test_missing_key_named_at_load(tmp_path, malform, key):
+    """A required key that is absent is a ConfigError saying so."""
+    import json
+
+    config_path = write_demo_fixtures(tmp_path, port=0)
+    raw = json.loads(config_path.read_text())
+    malform(raw)
+    config_path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match=f"missing key '{key}'"):
         load_server_config(config_path)
 
 
