@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum, IntEnum
 from pathlib import Path
+from typing import NamedTuple
 
 from .context import ContextVerdict, require_number
 from .policy import RequestedAction, SecurityLevel, required_security
@@ -40,6 +41,7 @@ from .wire import MAX_PASSWORD_LEN
 MAX_PENDING_PER_USER = 3
 
 _DUMMY_SALT = b"\x00" * 16
+_ENTRY_KEYS = frozenset({"username", "salt", "digest", "otp_channel"})  # of a user store entry
 
 
 class Role(IntEnum):
@@ -87,18 +89,13 @@ class AuthDecision:
         return cls(Outcome.REJECT, reason=reason)
 
 
-@dataclass(frozen=True)
-class UserRecord:
+class UserRecord(NamedTuple):
     """Stored identity; the plaintext password is never kept."""
 
     username: str
     password_salt: bytes
     password_digest: bytes
     otp_channel: str
-
-    def __post_init__(self) -> None:
-        if len(self.password_salt) < 16:
-            raise ValueError("password salt must be at least 16 octets")
 
     @classmethod
     def create(cls, username: str, password: str | bytes, otp_channel: str) -> UserRecord:
@@ -119,18 +116,39 @@ class UserStore:
 
     @classmethod
     def load(cls, path: str | Path) -> UserStore:
+        """Read a store that `save` wrote.
+
+        The file is a JSON list of objects with exactly the keys username,
+        salt, digest and otp_channel; the username and channel are strings,
+        the salt is hex of at least 16 octets, the digest hex of exactly 32,
+        and no username repeats.  Any fault is a ValueError naming the entry.
+        """
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        records = [
-            UserRecord(
-                username=entry["username"],
-                password_salt=bytes.fromhex(entry["salt"]),
-                password_digest=bytes.fromhex(entry["digest"]),
-                otp_channel=entry["otp_channel"],
-            )
-            for entry in raw
-        ]
-        return cls(records)
+        if not isinstance(raw, list):
+            raise ValueError(f"must be a JSON list of objects, got {type(raw).__name__}")
+        store = cls()
+        records = store._records
+        for index, entry in enumerate(raw):
+            try:
+                if not isinstance(entry, dict):
+                    raise ValueError(f"must be an object, got {type(entry).__name__}")
+                if entry.keys() != _ENTRY_KEYS:
+                    raise ValueError(f"keys must be {sorted(_ENTRY_KEYS)}, got {sorted(entry)}")
+                name, channel = entry["username"], entry["otp_channel"]
+                if not isinstance(name, str) or not isinstance(channel, str):
+                    raise ValueError("username and otp_channel must be strings")
+                if name in records:
+                    raise ValueError(f"duplicate username {name!r}")
+                salt, digest = bytes.fromhex(entry["salt"]), bytes.fromhex(entry["digest"])
+                if len(salt) < 16:
+                    raise ValueError("salt must be at least 16 octets")
+                if len(digest) != 32:
+                    raise ValueError("digest must be exactly 32 octets")
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"entry {index}: {exc}") from None
+            records[name] = UserRecord(name, salt, digest, channel)
+        return store
 
     @staticmethod
     def save(path: str | Path, records: list[UserRecord]) -> None:

@@ -40,7 +40,7 @@ def _serve(args: argparse.Namespace) -> int:
     try:
         config = load_server_config(args.config)
         run_server(config)
-    except (ServerStartupError, OSError, ValueError, KeyError) as exc:
+    except (ServerStartupError, OSError, ValueError) as exc:
         print(f"server startup failed: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -144,13 +144,9 @@ def evaluate_plausibility(source_address: IPv4Address | int, now: datetime,
                           config: ContextConfig) -> ContextVerdict:
     """A request is plausible iff it is in working hours AND on site.
 
-    Aware instants are converted to the configured offset; naive ones are
-    taken to be in it already.
+    `now` must be timezone-aware; it is read in the configured offset.
     """
-    if now.tzinfo is None:
-        local = now
-    else:
-        local = now.astimezone(config.utc_offset)
+    local = now.astimezone(config.utc_offset)
     in_hours = (
         local.weekday() in config.working_days
         and config.day_start <= local.time() < config.day_end

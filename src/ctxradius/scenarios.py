@@ -147,11 +147,10 @@ class ProtocolClient:
     """Blocking request/response client with retransmission on timeout."""
 
     def __init__(self, server: tuple[str, int], secret: bytes,
-                 timeout_ms: int = DEFAULT_TIMEOUT_MS, retries: int = DEFAULT_RETRIES):
+                 timeout_ms: int = DEFAULT_TIMEOUT_MS):
         self.server = server
         self.secret = secret
         self.timeout = timeout_ms / 1000.0
-        self.retries = retries
         self._identifier = secrets.randbelow(256)
         self._socket = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._socket.settimeout(self.timeout)
@@ -190,7 +189,7 @@ class ProtocolClient:
         """Send, retransmitting the identical datagram on timeout, and
         verify the response's authenticator before returning it."""
         raw = wire.encode_packet(request)
-        for _ in range(self.retries):
+        for _ in range(DEFAULT_RETRIES):
             self._socket.sendto(raw, self.server)
             try:
                 data, _ = self._socket.recvfrom(wire.MAX_PACKET_LEN + 1)
@@ -204,7 +203,7 @@ class ProtocolClient:
                 raise AuthenticatorMismatch(
                     f"response id={response.identifier} failed verification")
             return response
-        raise Timeout(f"no response after {self.retries} tries of {self.timeout:.1f}s")
+        raise Timeout(f"no response after {DEFAULT_RETRIES} tries of {self.timeout:.1f}s")
 
 
 def run_scenario(script: ScenarioScript, server: tuple[str, int], secret: bytes,
@@ -285,8 +284,7 @@ def run_all(server: tuple[str, int], secret: bytes, delivery_log: str | Path,
     return 0 if all_passed else 1
 
 
-def write_demo_fixtures(directory: str | Path, port: int = 1812,
-                        secret: bytes = DEMO_SECRET) -> Path:
+def write_demo_fixtures(directory: str | Path, port: int = 1812) -> Path:
     """Materialise server-side fixture files matching the demo scripts.
 
     Writes users.json, an empty delivery log and config.json into the
@@ -303,7 +301,7 @@ def write_demo_fixtures(directory: str | Path, port: int = 1812,
     config = {
         "bind_address": "127.0.0.1",
         "port": port,
-        "clients": [{"address": "127.0.0.0/8", "secret_hex": secret.hex()}],
+        "clients": [{"address": "127.0.0.0/8", "secret_hex": DEMO_SECRET.hex()}],
         "context": {
             "working_days": ["monday", "tuesday", "wednesday", "thursday", "friday"],
             "day_start": "08:00",

@@ -105,6 +105,9 @@ class ServerConfig:
         require_number("dedup_window_seconds", self.dedup_window_seconds, (int, float),
                        0, math.inf, "a positive number")
         require_number("port", self.port, (int,), -1, 65536, "an int from 0 to 65535")
+        if self.clock_override is not None and self.clock_override.tzinfo is None:
+            raise ConfigError(
+                f"clock_override needs a UTC offset, got {self.clock_override.isoformat()!r}")
 
 
 def load_server_config(path: str | Path) -> ServerConfig:
@@ -187,7 +190,7 @@ class Server:
     def __init__(self, config: ServerConfig, event_log: EventLog | None = None):
         try:
             users = UserStore.load(config.user_store_path)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise ServerStartupError(f"cannot load user store: {exc}") from exc
         try:
             delivery = DeliveryLog(config.delivery_log_path)
@@ -220,10 +223,11 @@ class Server:
                         *, port: int = 0) -> bytes | None:
         """Process one datagram from `peer`:`port`; None means drop silently.
 
-        `peer` is an IPv4Address or its dotted string.  Dedup lookup,
-        decision, render and store form one critical section under the
-        Server's lock, so any thread may call this.  Every datagram writes
-        exactly one event line, here, after the lock is released.
+        `peer` is an IPv4Address or its dotted string; `now` must be
+        timezone-aware.  Dedup lookup, decision, render and store form one
+        critical section under the Server's lock, so any thread may call
+        this.  Every datagram writes exactly one event line, here, after the
+        lock is released.
         """
         event, subject, detail, response = self._handle(data, str(peer), now, port)
         self.events.log(now, event, subject, detail)
@@ -327,11 +331,10 @@ class Server:
     def serve_forever(self) -> None:
         """Serve datagrams one at a time, in arrival order, until shutdown().
 
-        A stop request is noticed within the 0.2 s receive timeout;
-        datagrams still queued in the socket then go unanswered.
+        Call `bind` first.  A stop request is noticed within the 0.2 s
+        receive timeout; datagrams still queued in the socket then go
+        unanswered.
         """
-        if self._socket is None:
-            self.bind()
         self.events.log(self.clock(), "listen",
                         f"{self.config.bind_address}:{self.bound_port}", "")
         while not self._stop.is_set():
@@ -374,9 +377,7 @@ def _outcome(decision: AuthDecision) -> tuple[int, bytes, str]:
 
 
 def _stamp(now: datetime) -> int:
-    """`now` in integer microseconds since the epoch; naive instants count as UTC."""
-    if now.tzinfo is None:
-        now = now.replace(tzinfo=timezone.utc)
+    """`now`, which must be timezone-aware, in integer microseconds since the epoch."""
     return (now - _EPOCH) // _MICROSECOND
 
 

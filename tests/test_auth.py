@@ -96,9 +96,12 @@ def test_user_store_save_load_round_trip(tmp_path):
     assert loaded.get("alice").otp_channel == "sms:alice"
 
 
-def test_short_salt_rejected():
-    with pytest.raises(ValueError):
-        UserRecord("x", b"short", b"digest" * 6, "sms:x")
+def test_short_salt_rejected(tmp_path):
+    """A short salt is rejected where the store enters the program, at load."""
+    path = tmp_path / "users.json"
+    UserStore.save(path, [UserRecord("x", b"short", b"d" * 32, "sms:x")])
+    with pytest.raises(ValueError, match="entry 0: salt must be at least 16 octets"):
+        UserStore.load(path)
 
 
 # ---------------------------------------------------------------------------

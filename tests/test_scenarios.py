@@ -248,11 +248,12 @@ def test_cli_serve_startup_failure_exits_nonzero(tmp_path, capsys):
     lambda raw: raw["clients"][0].update(secret_hex="64656d6f2d..."),
     lambda raw: raw.pop("user_store_path"),
     lambda raw: raw["clients"][0].pop("address"),
+    lambda raw: raw.update(clock_override="2026-08-04T10:00:00"),
 ], ids=["bind_address", "clock_override", "timezone", "clients-object", "client-string",
         "secret_hex", "user_store_path", "client-int-address", "trusted-int-network",
         "unknown-top-level-key", "unknown-otp-key", "unknown-session-key",
         "unknown-client-key", "unknown-context-key", "secret_hex-not-hex",
-        "missing-user-store-path", "missing-client-address"])
+        "missing-user-store-path", "missing-client-address", "clock_override-naive"])
 def test_cli_serve_malformed_config_exits_nonzero(tmp_path, capsys, monkeypatch, malform):
     """A value of the wrong JSON type fails at load with one line, not a traceback."""
     def loaded(config):
@@ -268,6 +269,39 @@ def test_cli_serve_malformed_config_exits_nonzero(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert code == 1
     assert err.count("server startup failed:") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("malform, detail", [
+    (lambda rows: {"alice": 1}, "must be a JSON list of objects"),
+    (lambda rows: [1], "entry 0: must be an object"),
+    (lambda rows: [{**rows[0], "salt": 5}], "entry 0: "),
+    (lambda rows: [{**rows[0], "username": 5}], "entry 0: username and otp_channel"),
+    (lambda rows: [{**rows[0], "otp_channel": 5}], "entry 0: username and otp_channel"),
+    (lambda rows: rows[:1] + rows, "entry 1: duplicate username"),
+    (lambda rows: [{**rows[0], "digest": "00"}], "entry 0: digest must be exactly 32 octets"),
+    (lambda rows: [{**rows[0], "extra": 1}], "entry 0: keys must be"),
+    (lambda rows: [{**rows[0], "salt": "zz" * 16}], "entry 0: non-hexadecimal"),
+    (lambda rows: [{k: v for k, v in rows[0].items() if k != "otp_channel"}],
+     "entry 0: keys must be"),
+], ids=["top-level-object", "entry-not-object", "salt-int", "username-int", "otp_channel-int",
+        "duplicate-username", "digest-short", "unknown-key", "salt-not-hex", "missing-key"])
+def test_cli_serve_malformed_user_store_exits_nonzero(tmp_path, capsys, monkeypatch,
+                                                      malform, detail):
+    """A store `UserStore.save` could not have written fails at load with one line."""
+    def bind(self):
+        raise AssertionError("user store loaded")
+
+    # a store the loader wrongly accepts fails here instead of serving forever
+    monkeypatch.setattr("ctxradius.server.Server.bind", bind)
+    config_path = write_demo_fixtures(tmp_path, port=0)
+    store = tmp_path / "users.json"
+    store.write_text(json.dumps(malform(json.loads(store.read_text()))))
+    code = main(["serve", "--config", str(config_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("server startup failed:") == 1
+    assert detail in err
     assert "Traceback" not in err
 
 
