@@ -9,6 +9,7 @@ session stores are shared mutable state and hold no lock: the caller runs
 one decision at a time, as `Server` does under its lock, so a session
 cannot change between the check that it covers a request and the accept,
 a state token is consumed at most once, and attempt counters never race.
+Instants and expiries are integer microseconds since the epoch.
 
 Both stores are keyed by username, so no decision reads another user's
 entries.  A challenge is registered only after the first factor passes,
@@ -28,7 +29,6 @@ import os
 import secrets
 import weakref
 from dataclasses import dataclass
-from datetime import datetime, timedelta
 from enum import Enum, IntEnum
 from pathlib import Path
 from typing import NamedTuple
@@ -120,11 +120,15 @@ class UserStore:
 
         The file is a JSON list of objects with exactly the keys username,
         salt, digest and otp_channel; the username and channel are strings,
-        the salt is hex of at least 16 octets, the digest hex of exactly 32,
-        and no username repeats.  Any fault is a ValueError naming the entry.
+        the channel printable and non-empty, the salt hex of at least 16
+        octets, the digest hex of exactly 32, and no username repeats.  Any
+        fault is a ValueError naming the entry, or the store if too deep.
         """
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{path}: JSON nested too deeply") from None
         if not isinstance(raw, list):
             raise ValueError(f"must be a JSON list of objects, got {type(raw).__name__}")
         store = cls()
@@ -138,6 +142,8 @@ class UserStore:
                 name, channel = entry["username"], entry["otp_channel"]
                 if not isinstance(name, str) or not isinstance(channel, str):
                     raise ValueError("username and otp_channel must be strings")
+                if not channel or not channel.isprintable():
+                    raise ValueError(f"otp_channel must be printable and non-empty: {channel!r}")
                 if name in records:
                     raise ValueError(f"duplicate username {name!r}")
                 salt, digest = bytes.fromhex(entry["salt"]), bytes.fromhex(entry["digest"])
@@ -181,7 +187,7 @@ def verify_first_factor(username: str, password: bytes, store: UserStore) -> boo
 @dataclass(slots=True)
 class OtpChallenge:
     otp_value: str
-    expires_at: datetime
+    expires_at: int
     attempts_remaining: int
     role: Role
 
@@ -190,7 +196,7 @@ class OtpChallenge:
 class Session:
     granted_role: Role
     factors_verified: int
-    expires_at: datetime
+    expires_at: int
 
 
 class DeliveryLog:
@@ -204,8 +210,8 @@ class DeliveryLog:
         self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         weakref.finalize(self, os.close, self._fd)
 
-    def append(self, instant: datetime, channel: str, otp: str) -> None:
-        line = f"{instant.isoformat()}\t{channel}\t{otp}\n".encode()
+    def append(self, when: str, channel: str, otp: str) -> None:
+        line = f"{when}\t{channel}\t{otp}\n".encode()
         if os.write(self._fd, line) != len(line):
             raise OSError("short write to the delivery log")
 
@@ -254,7 +260,7 @@ class Authenticator:
 
     # -- session helpers ---------------------------------------------------
 
-    def session_for(self, username: str, now: datetime) -> Session | None:
+    def session_for(self, username: str, now: int) -> Session | None:
         """The user's unexpired session, if any; expired ones behave as absent."""
         session = self._sessions.get(username)
         if session is None:
@@ -264,14 +270,14 @@ class Authenticator:
             return None
         return session
 
-    def _admit(self, username: str, role: Role, factors: int, now: datetime) -> Session:
+    def _admit(self, username: str, role: Role, factors: int, now: int) -> Session:
         """Create or update the user's session after a successful flow."""
         session = self.session_for(username, now)
         if session is None:
             session = Session(
                 granted_role=role,
                 factors_verified=factors,
-                expires_at=now + timedelta(seconds=self.policy.session_ttl_seconds),
+                expires_at=now + round(self.policy.session_ttl_seconds * 1_000_000),
             )
             self._sessions[username] = session
         else:
@@ -288,7 +294,7 @@ class Authenticator:
     # -- decision flow -------------------------------------------------------
 
     def authenticate(self, username: str, password: bytes, action: RequestedAction,
-                     verdict: ContextVerdict, now: datetime) -> AuthDecision:
+                     verdict: ContextVerdict, now: int, when: str) -> AuthDecision:
         """One pass of the decision flow for a credentials-bearing request.
 
         After the first factor passes, the context verdict and action set the
@@ -296,7 +302,7 @@ class Authenticator:
         meet that level and it already holds the role or holds two factors;
         the role is then raised in place.  Otherwise a Low request is
         admitted on one factor and a High one is challenged; completing the
-        challenge upgrades the same session.
+        challenge upgrades the same session.  The delivery line prints `when`.
         """
         if not username or not password:
             return AuthDecision.reject(RejectReason.MALFORMED_REQUEST)
@@ -326,15 +332,15 @@ class Authenticator:
         token = secrets.token_bytes(16)
         pending[token] = challenge = OtpChallenge(
             otp_value=self._random_otp(),
-            expires_at=now + timedelta(seconds=self.policy.otp_ttl_seconds),
+            expires_at=now + round(self.policy.otp_ttl_seconds * 1_000_000),
             attempts_remaining=self.policy.otp_max_attempts,
             role=role,
         )
-        self.delivery.append(now, self.users.get(username).otp_channel, challenge.otp_value)
+        self.delivery.append(when, self.users.get(username).otp_channel, challenge.otp_value)
         return AuthDecision.challenge(token)
 
     def complete_challenge(self, state_token: bytes, otp: str, username: str,
-                           now: datetime) -> AuthDecision:
+                           now: int) -> AuthDecision:
         """Second leg of a challenged exchange: verify the OTP, then admit.
 
         A token is looked up only among the named user's challenges, so a

@@ -3,13 +3,14 @@
 `evaluate_plausibility` judges a request's instant and source address
 against the configured working hours and trusted networks.  Both checks are
 pure and deterministic, and the answer is one of four shared, frozen
-verdicts.
+verdicts.  An instant is integer microseconds since the epoch, by `stamp`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from datetime import datetime, time, timedelta, timezone
+from datetime import datetime, timezone
 from enum import Enum
 from ipaddress import IPv4Address, IPv4Network
 
@@ -23,9 +24,18 @@ WEEKDAYS = {
     "sunday": 6,
 }
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = datetime.resolution
+_CLOCK = re.compile(r"([+-]?)([01]\d|2[0-3]):([0-5]\d)", re.ASCII)  # HH:MM, signed or not
+
 
 class ConfigError(ValueError):
     pass
+
+
+def stamp(now: datetime) -> int:
+    """`now`, which must be timezone-aware, in integer microseconds since the epoch."""
+    return (now - _EPOCH) // _MICROSECOND
 
 
 def require_number(name: str, value: object, kinds: tuple[type, ...],
@@ -56,15 +66,16 @@ class ImplausibilityReason(Enum):
 class ContextConfig:
     """Working-hours window and trusted source networks.
 
-    The window is half-open: an instant exactly at day_start is inside,
-    one exactly at day_end is outside.  The timezone is a fixed offset,
-    no DST rules.  Overnight windows (end <= start) are rejected.
+    Times are int seconds: the window's ends after local midnight, the
+    fixed offset (no DST rules) east of UTC.  The window is half-open: an
+    instant exactly at day_start is inside, one exactly at day_end is
+    outside.  Overnight windows (end <= start) are rejected.
     """
 
     working_days: frozenset[int]
-    day_start: time
-    day_end: time
-    utc_offset: timezone
+    day_start: int
+    day_end: int
+    utc_offset: int
     trusted_networks: tuple[IPv4Network, ...]
 
     def __post_init__(self) -> None:
@@ -90,9 +101,9 @@ class ContextConfig:
             raise ConfigError(f"unknown weekday name {exc}") from None
         return cls(
             working_days=days,
-            day_start=_parse_hhmm(raw.pop("day_start")),
-            day_end=_parse_hhmm(raw.pop("day_end")),
-            utc_offset=parse_utc_offset(raw.pop("timezone")),
+            day_start=parse_clock(raw.pop("day_start")),
+            day_end=parse_clock(raw.pop("day_end")),
+            utc_offset=parse_clock(raw.pop("timezone"), signed=True),
             trusted_networks=tuple(require_network("trusted_networks entry", n)
                                    for n in raw.pop("trusted_networks")),
             **raw,
@@ -121,36 +132,25 @@ _VERDICTS = {
 }
 
 
-def _parse_hhmm(text: str) -> time:
-    try:
-        hours, minutes = text.split(":")
-        return time(int(hours), int(minutes))
-    except (ValueError, AttributeError):
-        raise ConfigError(f"expected HH:MM, got {text!r}") from None
+def parse_clock(text: str, signed: bool = False) -> int:
+    """Seconds of a strict "HH:MM", two ASCII digits each, 00:00 to 23:59;
+    `signed` asks for a "+HH:MM" / "-HH:MM" offset east of UTC instead."""
+    match = isinstance(text, str) and _CLOCK.fullmatch(text)
+    if not match or bool(match[1]) != signed:
+        raise ConfigError(f"expected {'+HH:MM offset' if signed else 'HH:MM'}, got {text!r}")
+    seconds = int(match[2]) * 3600 + int(match[3]) * 60
+    return -seconds if match[1] == "-" else seconds
 
 
-def parse_utc_offset(text: str) -> timezone:
-    """Parse a fixed "+HH:MM" / "-HH:MM" offset."""
-    if len(text) != 6 or text[0] not in "+-" or text[3] != ":":
-        raise ConfigError(f"expected +HH:MM offset, got {text!r}")
-    try:
-        delta = timedelta(hours=int(text[1:3]), minutes=int(text[4:6]))
-    except ValueError:
-        raise ConfigError(f"expected +HH:MM offset, got {text!r}") from None
-    return timezone(-delta if text[0] == "-" else delta)
-
-
-def evaluate_plausibility(source_address: IPv4Address | int, now: datetime,
+def evaluate_plausibility(source_address: IPv4Address | int, now: int,
                           config: ContextConfig) -> ContextVerdict:
     """A request is plausible iff it is in working hours AND on site.
 
-    `now` must be timezone-aware; it is read in the configured offset.
+    `now` (see `stamp`) is read in the configured offset; the epoch was a Thursday.
     """
-    local = now.astimezone(config.utc_offset)
-    in_hours = (
-        local.weekday() in config.working_days
-        and config.day_start <= local.time() < config.day_end
-    )
+    local = now // 1_000_000 + config.utc_offset
+    in_hours = ((local // 86400 + 3) % 7 in config.working_days
+                and config.day_start <= local % 86400 < config.day_end)
     on_site = any(int(source_address) & int(net.netmask) == int(net.network_address)
                   for net in config.trusted_networks)
     return _VERDICTS[in_hours, on_site]

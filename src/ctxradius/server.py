@@ -26,7 +26,7 @@ import struct
 import sys
 import threading
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from ipaddress import IPv4Address, IPv4Network
 from pathlib import Path
 from typing import Callable, TextIO
@@ -48,6 +48,7 @@ from .context import (
     evaluate_plausibility,
     require_network,
     require_number,
+    stamp,
 )
 from .policy import RequestedAction
 from .wire import PacketCode, WireError
@@ -65,8 +66,6 @@ DEDUP_GENERATION = 8192
 # A dedup entry is one bytes value: stored-at instant, request authenticator,
 # response.  The instant is integer microseconds, so the window edge is exact.
 _STAMP = struct.Struct("<q")
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_MICROSECOND = timedelta(microseconds=1)
 
 
 class ServerStartupError(Exception):
@@ -120,7 +119,10 @@ def load_server_config(path: str | Path) -> ServerConfig:
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise ConfigError(f"malformed config {path}: JSON nested too deeply") from None
 
     base = path.parent
     try:
@@ -177,8 +179,8 @@ class EventLog:
         self._stream = stream if stream is not None else sys.stderr
         self._lock = threading.Lock()
 
-    def log(self, now: datetime, event: str, subject: str, detail: str = "") -> None:
-        line = f"{now.isoformat()}\t{_field(event)}\t{_field(subject)}\t{_field(detail)}\n"
+    def log(self, when: str, event: str, subject: str, detail: str = "") -> None:
+        line = f"{when}\t{_field(event)}\t{_field(subject)}\t{_field(detail)}\n"
         with self._lock:
             self._stream.write(line)
             self._stream.flush()
@@ -223,17 +225,19 @@ class Server:
                         *, port: int = 0) -> bytes | None:
         """Process one datagram from `peer`:`port`; None means drop silently.
 
-        `peer` is an IPv4Address or its dotted string; `now` must be
-        timezone-aware.  Dedup lookup, decision, render and store form one
-        critical section under the Server's lock, so any thread may call
-        this.  Every datagram writes exactly one event line, here, after the
-        lock is released.
+        `peer` is an IPv4Address or its dotted string.  `now`, timezone-aware,
+        is read once into integer microseconds and once into the text that
+        the event and delivery lines print.  Dedup lookup, decision, render
+        and store form one critical section under the Server's lock, so any
+        thread may call this.  Every datagram writes exactly one event line,
+        here, after the lock is released.
         """
-        event, subject, detail, response = self._handle(data, str(peer), now, port)
-        self.events.log(now, event, subject, detail)
+        when = now.isoformat()
+        event, subject, detail, response = self._handle(data, str(peer), stamp(now), when, port)
+        self.events.log(when, event, subject, detail)
         return response
 
-    def _handle(self, data: bytes, name: str, now: datetime,
+    def _handle(self, data: bytes, name: str, now: int, when: str,
                 port: int) -> tuple[str, str, str, bytes | None]:
         """The event, subject and detail of the datagram's event line, and its reply."""
         peer = int.from_bytes(socket.inet_aton(name), "big")
@@ -248,8 +252,7 @@ class Server:
             return "drop", name, f"unexpected code {PacketCode(code).name}", None
 
         key = peer << 24 | port << 8 | identifier
-        stamp = _stamp(now)
-        cutoff = stamp - self._dedup_window_us
+        cutoff = now - self._dedup_window_us
         with self._lock:
             # the current generation holds the newer entry; a value is never empty
             cached = self._dedup.get(key) or self._dedup_old.get(key)
@@ -257,13 +260,13 @@ class Server:
                 if cached[8:24] == ra:
                     return "replay", name, f"id={identifier}", cached[24:]
                 return "drop", name, f"duplicate id={identifier} in dedup window", None
-            decision, username = self._decide(attributes, ra, client, peer, now)
+            decision, username = self._decide(attributes, ra, client, peer, now, when)
             code, body, detail = _outcome(decision)
             response = wire.stamp_response(
                 wire.frame(code, identifier, bytes(16), body), ra, client.shared_secret)
             if self._dedup_since <= cutoff or len(self._dedup) >= DEDUP_GENERATION:
-                self._dedup_old, self._dedup, self._dedup_since = self._dedup, {}, stamp
-            self._dedup[key] = _STAMP.pack(stamp) + ra + response
+                self._dedup_old, self._dedup, self._dedup_since = self._dedup, {}, now
+            self._dedup[key] = _STAMP.pack(now) + ra + response
         return decision.outcome.value, username or name, detail, response
 
     def _client_for(self, peer: int) -> ClientEntry | None:
@@ -273,7 +276,7 @@ class Server:
         return None
 
     def _decide(self, attributes: list[tuple[int, bytes]], ra: bytes, client: ClientEntry,
-                peer: int, now: datetime) -> tuple[AuthDecision, str | None]:
+                peer: int, now: int, when: str) -> tuple[AuthDecision, str | None]:
         """Recover the request's fields, the first of each type, and decide."""
         first = dict(reversed(attributes))
         username = None
@@ -306,7 +309,7 @@ class Server:
         nas_ip = first.get(wire.NAS_IP_ADDRESS)
         source = int.from_bytes(nas_ip, "big") if nas_ip is not None and len(nas_ip) == 4 else peer
         verdict = evaluate_plausibility(source, now, self.config.context)
-        return self.auth.authenticate(username, password, action, verdict, now), username
+        return self.auth.authenticate(username, password, action, verdict, now, when), username
 
     # -- UDP lifecycle ---------------------------------------------------------
 
@@ -335,7 +338,7 @@ class Server:
         receive timeout; datagrams still queued in the socket then go
         unanswered.
         """
-        self.events.log(self.clock(), "listen",
+        self.events.log(self.clock().isoformat(), "listen",
                         f"{self.config.bind_address}:{self.bound_port}", "")
         while not self._stop.is_set():
             try:
@@ -347,13 +350,13 @@ class Server:
             self._serve_one(data, addr)
         self._socket.close()
         self._socket = None
-        self.events.log(self.clock(), "shutdown", "-", "")
+        self.events.log(self.clock().isoformat(), "shutdown", "-", "")
 
     def _serve_one(self, data: bytes, addr: tuple[str, int]) -> None:
         try:
             response = self.handle_datagram(data, addr[0], self.clock(), port=addr[1])
         except Exception as exc:  # never let a handler kill the loop
-            self.events.log(self.clock(), "error", addr[0], repr(exc))
+            self.events.log(self.clock().isoformat(), "error", addr[0], repr(exc))
             return
         if response is not None:
             try:
@@ -374,11 +377,6 @@ def _outcome(decision: AuthDecision) -> tuple[int, bytes, str]:
                 wire.encode_attribute(wire.STATE, decision.state_token) + _PROMPT,
                 "otp challenge issued")
     return PacketCode.ACCESS_REJECT, _REJECT_BODY, decision.reason.value
-
-
-def _stamp(now: datetime) -> int:
-    """`now`, which must be timezone-aware, in integer microseconds since the epoch."""
-    return (now - _EPOCH) // _MICROSECOND
 
 
 def run_server(config: ServerConfig) -> None:

@@ -17,7 +17,7 @@ import pytest
 
 from ctxradius import wire
 from ctxradius.auth import Role, latest_otp
-from ctxradius.context import ContextVerdict, ImplausibilityReason
+from ctxradius.context import ContextVerdict, ImplausibilityReason, stamp
 from ctxradius.policy import RequestedAction, SecurityLevel, required_security
 from ctxradius.scenarios import DEMO_SECRET, DEMO_USERS, SCRIPTS, run_scenario
 from ctxradius.server import EventLog, Server, load_server_config
@@ -200,7 +200,7 @@ def test_criterion_4_escalation_updates_same_session(direct_server):
 
     accept = _handle(server, _request(username, password, identifier=1))
     assert accept.code is PacketCode.ACCESS_ACCEPT
-    session = server.auth.session_for(username, server.clock())
+    session = server.auth.session_for(username, stamp(server.clock()))
     assert session.factors_verified == 1
     original = session
     log_lines_before = server.config.delivery_log_path.read_text().count("\n")
@@ -216,7 +216,7 @@ def test_criterion_4_escalation_updates_same_session(direct_server):
     assert accept.code is PacketCode.ACCESS_ACCEPT
     assert accept.first(wire.REPLY_MESSAGE) == b"granted: root"
 
-    session = server.auth.session_for(username, server.clock())
+    session = server.auth.session_for(username, stamp(server.clock()))
     assert session is original
     assert session.granted_role is Role.ROOT
     assert session.factors_verified == 2
@@ -249,7 +249,7 @@ def test_criterion_5_security_invariants(direct_server):
                 username, otp, root=root, identifier=next(ids), nas_ip=nas_ip,
                 state=response.first(wire.STATE)))
         assert response.code is PacketCode.ACCESS_ACCEPT
-        session = server.auth.session_for(username, server.clock())
+        session = server.auth.session_for(username, stamp(server.clock()))
         assert session.factors_verified >= level.required_factors
 
     # (b) a consumed state token is rejected on every one of 100 replays

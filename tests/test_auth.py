@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import sys
 import threading
-from datetime import datetime, timedelta, timezone
+from datetime import datetime
 
 import pytest
 
@@ -19,7 +19,7 @@ from ctxradius.auth import (
     latest_otp,
     verify_first_factor,
 )
-from ctxradius.context import ContextVerdict, ImplausibilityReason
+from ctxradius.context import ContextVerdict, ImplausibilityReason, stamp
 from ctxradius.policy import RequestedAction
 from test_server import (
     ACCEPT,
@@ -33,7 +33,9 @@ from test_server import (
     root_leg,
 )
 
-NOW = datetime(2026, 8, 4, 10, 0, tzinfo=timezone.utc)
+WHEN = "2026-08-04T10:00:00+00:00"
+NOW = stamp(datetime.fromisoformat(WHEN))
+SECOND = 1_000_000
 
 PLAUSIBLE = ContextVerdict(plausible=True, reasons=frozenset())
 OFF_SITE = ContextVerdict(plausible=False,
@@ -62,7 +64,7 @@ def engine(users, log):
 def challenge_alice(engine, log):
     """Challenge a plausible root request by alice; the state token and the
     OTP delivered for it."""
-    decision = engine.authenticate("alice", b"wonderland", ROOT, PLAUSIBLE, NOW)
+    decision = engine.authenticate("alice", b"wonderland", ROOT, PLAUSIBLE, NOW, WHEN)
     assert decision.outcome is Outcome.CHALLENGE
     return decision.state_token, latest_otp(log, "sms:alice")
 
@@ -113,7 +115,7 @@ def test_challenge_expiry_arithmetic(engine, log):
     first_token, first_otp = challenge_alice(engine, log)
     last_token, last_otp = challenge_alice(engine, log)
     assert len(first_otp) == 6 and first_otp.isdigit()
-    inside, expiry = NOW + timedelta(seconds=119), NOW + timedelta(seconds=120)
+    inside, expiry = NOW + 119 * SECOND, NOW + 120 * SECOND
     assert engine.complete_challenge(
         first_token, first_otp, "alice", inside).granted_role is Role.ROOT
     assert engine.complete_challenge(
@@ -137,7 +139,7 @@ def test_delivery_log_one_line_per_issue(engine, log):
     lines = log.read_text().splitlines()
     assert len(lines) == 1
     instant, channel, otp = lines[0].split("\t")
-    assert instant == NOW.isoformat()
+    assert instant == WHEN
     assert channel == "sms:alice"
     assert latest_otp(log, "sms:alice") == otp
     assert engine.complete_challenge(token, otp, "alice", NOW).outcome is Outcome.ACCEPT
@@ -146,13 +148,13 @@ def test_delivery_log_one_line_per_issue(engine, log):
 def test_flood_limit(engine, log):
     for _ in range(3):
         challenge_alice(engine, log)
-    decision = engine.authenticate("alice", b"wonderland", ROOT, PLAUSIBLE, NOW)
+    decision = engine.authenticate("alice", b"wonderland", ROOT, PLAUSIBLE, NOW, WHEN)
     assert decision.reason is RejectReason.CHALLENGE_FLOOD
     assert engine.authenticate(
-        "alice", b"wonderland", ROOT, PLAUSIBLE, NOW).reason is RejectReason.CHALLENGE_FLOOD
+        "alice", b"wonderland", ROOT, PLAUSIBLE, NOW, WHEN).reason is RejectReason.CHALLENGE_FLOOD
     assert len(log.read_text().splitlines()) == 3  # no OTP for a flood reject
     # an unrelated user is unaffected
-    decision = engine.authenticate("bob", b"builder", ROOT, PLAUSIBLE, NOW)
+    decision = engine.authenticate("bob", b"builder", ROOT, PLAUSIBLE, NOW, WHEN)
     assert decision.outcome is Outcome.CHALLENGE
 
 
@@ -176,7 +178,7 @@ def test_verify_otp_attempt_exhaustion(engine, log):
 def test_verify_otp_expiry_half_open(engine, log):
     token, otp = challenge_alice(engine, log)
     delivered = log.read_text()
-    expires_at = NOW + timedelta(seconds=120)
+    expires_at = NOW + 120 * SECOND
     assert engine.complete_challenge(
         token, otp, "alice", expires_at).reason is RejectReason.UNKNOWN_CHALLENGE
     assert log.read_text() == delivered
@@ -274,7 +276,7 @@ def test_each_leg_takes_the_lock_once(tmp_path, leg, peer, code, takes):
 
 def test_plausible_default_accepts_on_one_factor(engine, log):
     decision = engine.authenticate("alice", b"wonderland",
-                                   RequestedAction.DEFAULT_ACCESS, PLAUSIBLE, NOW)
+                                   RequestedAction.DEFAULT_ACCESS, PLAUSIBLE, NOW, WHEN)
     assert decision.outcome is Outcome.ACCEPT
     assert decision.granted_role is Role.DEFAULT
     assert engine.session_for("alice", NOW).factors_verified == 1
@@ -283,14 +285,14 @@ def test_plausible_default_accepts_on_one_factor(engine, log):
 
 def test_plausible_root_demands_challenge(engine):
     decision = engine.authenticate("alice", b"wonderland",
-                                   RequestedAction.ROOT_ACCESS, PLAUSIBLE, NOW)
+                                   RequestedAction.ROOT_ACCESS, PLAUSIBLE, NOW, WHEN)
     assert decision.outcome is Outcome.CHALLENGE
     assert decision.state_token is not None
 
 
 def test_implausible_default_demands_challenge(engine):
     decision = engine.authenticate("alice", b"wonderland",
-                                   RequestedAction.DEFAULT_ACCESS, OFF_SITE, NOW)
+                                   RequestedAction.DEFAULT_ACCESS, OFF_SITE, NOW, WHEN)
     assert decision.outcome is Outcome.CHALLENGE
 
 
@@ -312,7 +314,7 @@ def test_concurrent_root_requests_respect_the_pending_maximum(tmp_path):
 
 def test_bad_credentials_rejected_before_policy(engine):
     decision = engine.authenticate("alice", b"wrong",
-                                   RequestedAction.DEFAULT_ACCESS, PLAUSIBLE, NOW)
+                                   RequestedAction.DEFAULT_ACCESS, PLAUSIBLE, NOW, WHEN)
     assert decision.outcome is Outcome.REJECT
     assert decision.reason is RejectReason.BAD_CREDENTIALS
     assert engine.session_for("alice", NOW) is None
@@ -320,46 +322,46 @@ def test_bad_credentials_rejected_before_policy(engine):
 
 def test_unknown_user_rejected_identically(engine):
     decision = engine.authenticate("mallory", b"anything",
-                                   RequestedAction.DEFAULT_ACCESS, PLAUSIBLE, NOW)
+                                   RequestedAction.DEFAULT_ACCESS, PLAUSIBLE, NOW, WHEN)
     assert decision.reason is RejectReason.BAD_CREDENTIALS
 
 
 def test_missing_fields_malformed(engine):
     assert engine.authenticate("", b"x", RequestedAction.DEFAULT_ACCESS,
-                               PLAUSIBLE, NOW).reason is RejectReason.MALFORMED_REQUEST
+                               PLAUSIBLE, NOW, WHEN).reason is RejectReason.MALFORMED_REQUEST
     assert engine.authenticate("alice", b"", RequestedAction.DEFAULT_ACCESS,
-                               PLAUSIBLE, NOW).reason is RejectReason.MALFORMED_REQUEST
+                               PLAUSIBLE, NOW, WHEN).reason is RejectReason.MALFORMED_REQUEST
 
 
 def test_session_reentry_skips_factors(engine, log):
     engine.authenticate("alice", b"wonderland", RequestedAction.DEFAULT_ACCESS,
-                        PLAUSIBLE, NOW)
-    later = NOW + timedelta(hours=1)
+                        PLAUSIBLE, NOW, WHEN)
+    later = NOW + 3600 * SECOND
     decision = engine.authenticate("alice", b"wonderland",
-                                   RequestedAction.DEFAULT_ACCESS, PLAUSIBLE, later)
+                                   RequestedAction.DEFAULT_ACCESS, PLAUSIBLE, later, WHEN)
     assert decision.outcome is Outcome.ACCEPT
     assert log.read_text() == ""  # no OTP delivered
 
 
 def test_live_session_never_launders_bad_credentials(engine):
     engine.authenticate("alice", b"wonderland", RequestedAction.DEFAULT_ACCESS,
-                        PLAUSIBLE, NOW)
+                        PLAUSIBLE, NOW, WHEN)
     decision = engine.authenticate("alice", b"garbage-from-wrong-secret",
-                                   RequestedAction.DEFAULT_ACCESS, PLAUSIBLE, NOW)
+                                   RequestedAction.DEFAULT_ACCESS, PLAUSIBLE, NOW, WHEN)
     assert decision.outcome is Outcome.REJECT
     assert decision.reason is RejectReason.BAD_CREDENTIALS
 
 
 def test_expired_session_behaves_as_absent(engine):
     engine.authenticate("alice", b"wonderland", RequestedAction.DEFAULT_ACCESS,
-                        PLAUSIBLE, NOW)
-    after_ttl = NOW + timedelta(hours=9)
+                        PLAUSIBLE, NOW, WHEN)
+    after_ttl = NOW + 9 * 3600 * SECOND
     assert engine.session_for("alice", after_ttl) is None
 
 
 def test_root_challenge_completion_grants_root(engine, log):
     decision = engine.authenticate("alice", b"wonderland",
-                                   RequestedAction.ROOT_ACCESS, PLAUSIBLE, NOW)
+                                   RequestedAction.ROOT_ACCESS, PLAUSIBLE, NOW, WHEN)
     otp = latest_otp(log, "sms:alice")
     outcome = engine.complete_challenge(decision.state_token, otp, "alice", NOW)
     assert outcome.outcome is Outcome.ACCEPT
@@ -371,7 +373,7 @@ def test_root_challenge_completion_grants_root(engine, log):
 
 def test_implausible_default_completion_grants_default_two_factors(engine, log):
     decision = engine.authenticate("alice", b"wonderland",
-                                   RequestedAction.DEFAULT_ACCESS, OFF_SITE, NOW)
+                                   RequestedAction.DEFAULT_ACCESS, OFF_SITE, NOW, WHEN)
     otp = latest_otp(log, "sms:alice")
     outcome = engine.complete_challenge(decision.state_token, otp, "alice", NOW)
     assert outcome.granted_role is Role.DEFAULT
@@ -380,7 +382,7 @@ def test_implausible_default_completion_grants_default_two_factors(engine, log):
 
 def test_consumed_token_replay_is_unknown(engine, log):
     decision = engine.authenticate("alice", b"wonderland",
-                                   RequestedAction.ROOT_ACCESS, PLAUSIBLE, NOW)
+                                   RequestedAction.ROOT_ACCESS, PLAUSIBLE, NOW, WHEN)
     otp = latest_otp(log, "sms:alice")
     engine.complete_challenge(decision.state_token, otp, "alice", NOW)
     replay = engine.complete_challenge(decision.state_token, otp, "alice", NOW)
@@ -394,7 +396,7 @@ def test_never_issued_token_rejected(engine):
 
 def test_wrong_otp_rejected_with_bad_otp(engine, log):
     decision = engine.authenticate("alice", b"wonderland",
-                                   RequestedAction.ROOT_ACCESS, PLAUSIBLE, NOW)
+                                   RequestedAction.ROOT_ACCESS, PLAUSIBLE, NOW, WHEN)
     otp = latest_otp(log, "sms:alice")
     outcome = engine.complete_challenge(decision.state_token, wrong(otp), "alice", NOW)
     assert outcome.reason is RejectReason.BAD_OTP
@@ -406,12 +408,12 @@ def test_wrong_otp_rejected_with_bad_otp(engine, log):
 
 def test_escalation_updates_same_session(engine, log):
     engine.authenticate("alice", b"wonderland", RequestedAction.DEFAULT_ACCESS,
-                        PLAUSIBLE, NOW)
+                        PLAUSIBLE, NOW, WHEN)
     original = engine.session_for("alice", NOW)
 
     # a one-factor session never covers root, from any context
     decision = engine.authenticate("alice", b"wonderland",
-                                   RequestedAction.ROOT_ACCESS, OFF_SITE, NOW)
+                                   RequestedAction.ROOT_ACCESS, OFF_SITE, NOW, WHEN)
     assert decision.outcome is Outcome.CHALLENGE
     otp = latest_otp(log, "sms:alice")
     outcome = engine.complete_challenge(decision.state_token, otp, "alice", NOW)
@@ -426,13 +428,13 @@ def test_escalation_updates_same_session(engine, log):
 def test_escalation_with_two_factors_held_is_immediate(engine, log):
     # admitted as Default under an implausible context: two factors on record
     decision = engine.authenticate("alice", b"wonderland",
-                                   RequestedAction.DEFAULT_ACCESS, OFF_SITE, NOW)
+                                   RequestedAction.DEFAULT_ACCESS, OFF_SITE, NOW, WHEN)
     otp = latest_otp(log, "sms:alice")
     engine.complete_challenge(decision.state_token, otp, "alice", NOW)
     delivered = log.read_text()
 
     outcome = engine.authenticate("alice", b"wonderland",
-                                  RequestedAction.ROOT_ACCESS, OFF_SITE, NOW)
+                                  RequestedAction.ROOT_ACCESS, OFF_SITE, NOW, WHEN)
     assert outcome.outcome is Outcome.ACCEPT
     assert outcome.granted_role is Role.ROOT
     assert log.read_text() == delivered  # no OTP delivered
@@ -442,11 +444,11 @@ def test_escalating_expired_session_starts_a_new_one(engine, log):
     """An expired session behaves as absent: a root request is challenged
     afresh, and completing it creates a new session."""
     engine.authenticate("alice", b"wonderland", RequestedAction.DEFAULT_ACCESS,
-                        PLAUSIBLE, NOW)
+                        PLAUSIBLE, NOW, WHEN)
     original = engine.session_for("alice", NOW)
-    late = NOW + timedelta(hours=9)
+    late = NOW + 9 * 3600 * SECOND
     decision = engine.authenticate("alice", b"wonderland",
-                                   RequestedAction.ROOT_ACCESS, PLAUSIBLE, late)
+                                   RequestedAction.ROOT_ACCESS, PLAUSIBLE, late, WHEN)
     assert decision.outcome is Outcome.CHALLENGE
     otp = latest_otp(log, "sms:alice")
     outcome = engine.complete_challenge(decision.state_token, otp, "alice", late)
@@ -460,10 +462,10 @@ def test_wire_style_escalation_through_authenticate(engine, log):
     """A root request from a user holding a one-factor Default session is
     challenged, then the same session is raised."""
     engine.authenticate("alice", b"wonderland", RequestedAction.DEFAULT_ACCESS,
-                        PLAUSIBLE, NOW)
+                        PLAUSIBLE, NOW, WHEN)
     original = engine.session_for("alice", NOW)
     decision = engine.authenticate("alice", b"wonderland",
-                                   RequestedAction.ROOT_ACCESS, PLAUSIBLE, NOW)
+                                   RequestedAction.ROOT_ACCESS, PLAUSIBLE, NOW, WHEN)
     assert decision.outcome is Outcome.CHALLENGE
     otp = latest_otp(log, "sms:alice")
     outcome = engine.complete_challenge(decision.state_token, otp, "alice", NOW)
@@ -473,11 +475,11 @@ def test_wire_style_escalation_through_authenticate(engine, log):
 
 def test_root_session_reentry_covers_default(engine, log):
     decision = engine.authenticate("alice", b"wonderland",
-                                   RequestedAction.ROOT_ACCESS, PLAUSIBLE, NOW)
+                                   RequestedAction.ROOT_ACCESS, PLAUSIBLE, NOW, WHEN)
     otp = latest_otp(log, "sms:alice")
     engine.complete_challenge(decision.state_token, otp, "alice", NOW)
     # a Root session satisfies a later default-access request outright
     again = engine.authenticate("alice", b"wonderland",
-                                RequestedAction.DEFAULT_ACCESS, PLAUSIBLE, NOW)
+                                RequestedAction.DEFAULT_ACCESS, PLAUSIBLE, NOW, WHEN)
     assert again.outcome is Outcome.ACCEPT
     assert again.granted_role is Role.ROOT

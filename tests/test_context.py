@@ -1,30 +1,33 @@
 from __future__ import annotations
 
-from datetime import datetime, time, timezone
+from datetime import date, datetime, time, timedelta, timezone
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxradius.context import (
     ConfigError,
     ContextConfig,
     ContextVerdict,
+    WEEKDAYS,
     ImplausibilityReason,
     evaluate_plausibility,
-    parse_utc_offset,
+    parse_clock,
+    stamp,
 )
 
 UTC = timezone.utc
+HOUR = 3600
 
 
 def office_config(**overrides) -> ContextConfig:
     kwargs = dict(
         working_days=frozenset(range(5)),  # Mon-Fri
-        day_start=time(8, 0),
-        day_end=time(18, 0),
-        utc_offset=UTC,
+        day_start=8 * HOUR,
+        day_end=18 * HOUR,
+        utc_offset=0,
         trusted_networks=(IPv4Network("10.0.0.0/8"),),
     )
     kwargs.update(overrides)
@@ -39,7 +42,7 @@ OUTSIDE_HOURS = ImplausibilityReason.OUTSIDE_WORKING_HOURS
 
 
 def reasons(address: IPv4Address, now: datetime, config: ContextConfig | None = None):
-    return evaluate_plausibility(address, now, config or office_config()).reasons
+    return evaluate_plausibility(address, stamp(now), config or office_config()).reasons
 
 
 def test_inside_hours_and_network():
@@ -68,21 +71,21 @@ def test_boundary_half_open():
 
 def test_offset_shifts_local_time():
     # 17:30 UTC is 19:30 at +02:00, past the 18:00 end of day
-    cfg = office_config(utc_offset=parse_utc_offset("+02:00"))
+    cfg = office_config(utc_offset=parse_clock("+02:00", signed=True))
     late = datetime(2026, 8, 4, 17, 30, tzinfo=UTC)
     assert reasons(ON_SITE, late, cfg) == {OUTSIDE_HOURS}
     assert reasons(ON_SITE, late) == frozenset()
 
 
 def test_determinism():
-    args = (IPv4Address("10.1.2.3"), TUE_10H, office_config())
+    args = (IPv4Address("10.1.2.3"), stamp(TUE_10H), office_config())
     assert evaluate_plausibility(*args) is evaluate_plausibility(*args)
 
 
 @pytest.mark.parametrize("bad", [
     dict(working_days=frozenset()),
-    dict(day_start=time(18, 0), day_end=time(8, 0)),
-    dict(day_start=time(9, 0), day_end=time(9, 0)),
+    dict(day_start=18 * HOUR, day_end=8 * HOUR),
+    dict(day_start=9 * HOUR, day_end=9 * HOUR),
     dict(trusted_networks=()),
 ])
 def test_config_validation(bad):
@@ -99,8 +102,8 @@ def test_from_dict():
         "trusted_networks": ["10.0.0.0/8", "192.168.1.0/24"],
     })
     assert cfg.working_days == frozenset({0, 1, 4})
-    assert cfg.day_start == time(8, 30)
-    assert cfg.utc_offset.utcoffset(None).total_seconds() == -5 * 3600
+    assert cfg.day_start == 8 * HOUR + 30 * 60
+    assert cfg.utc_offset == -5 * HOUR
     assert len(cfg.trusted_networks) == 2
 
 
@@ -121,10 +124,20 @@ def test_from_dict_names_a_missing_working_days():
         ContextConfig.from_dict(raw)
 
 
-@pytest.mark.parametrize("text", ["utc", "+2:00", "+0200", "+aa:bb"])
+@pytest.mark.parametrize("text", ["utc", "+2:00", "+0200", "+aa:bb", "+-5:00", "+05:99",
+                                  "+ 5:00", "+24:00", "+0\u0668:00", "05:00", "+05:00\n"])
 def test_bad_offset_rejected(text):
     with pytest.raises(ConfigError):
-        parse_utc_offset(text)
+        parse_clock(text, signed=True)
+
+
+@pytest.mark.parametrize("text", ["8:00", " 8: 00", "\u0668:00", "08:60", "24:00", "0800",
+                                  "+08:00", "08:00\n", 800])
+def test_bad_hhmm_rejected(text):
+    raw = {"working_days": ["monday"], "day_start": text, "day_end": "23:00",
+           "timezone": "+00:00", "trusted_networks": ["10.0.0.0/8"]}
+    with pytest.raises(ConfigError, match="expected HH:MM"):
+        ContextConfig.from_dict(raw)
 
 
 @pytest.mark.parametrize("in_hours,on_site,expected_reasons", [
@@ -135,7 +148,7 @@ def test_bad_offset_rejected(text):
 ])
 def test_plausibility_truth_table(in_hours, on_site, expected_reasons):
     verdict = evaluate_plausibility(ON_SITE if on_site else OFF_SITE,
-                                    TUE_10H if in_hours else TUE_02H, office_config())
+                                    stamp(TUE_10H if in_hours else TUE_02H), office_config())
     assert verdict.reasons == frozenset(expected_reasons)
     assert verdict.plausible == (not expected_reasons)
 
@@ -159,3 +172,44 @@ def test_adding_network_never_revokes_trust(addr_int, extra_net_int, extra_len):
     before = ImplausibilityReason.OFF_SITE not in reasons(address, TUE_10H, base)
     after = ImplausibilityReason.OFF_SITE not in reasons(address, TUE_10H, grown)
     assert not before or after
+
+
+def _hhmm(minutes: int) -> str:
+    return f"{minutes // 60:02d}:{minutes % 60:02d}"
+
+
+def _in_hours_by_datetime(now: datetime, days: frozenset[int], start: time, end: time,
+                          tz: timezone) -> bool:
+    """Reference oracle: the working-hours check done with datetime objects."""
+    local = now.astimezone(tz)
+    return local.weekday() in days and start <= local.time() < end
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_int_clock_check_matches_the_datetime_reference(data):
+    """The integer-microsecond check agrees with `astimezone`, `weekday()` and
+    `time()` for any offset, days and minute-aligned window, at any instant
+    from 1900 to 2100 and on either side of each window edge."""
+    offset = data.draw(st.integers(-(23 * 60 + 59), 23 * 60 + 59), "offset minutes")
+    days = data.draw(st.frozensets(st.integers(0, 6), min_size=1), "working days")
+    start = data.draw(st.integers(0, 24 * 60 - 2), "start minute")
+    end = data.draw(st.integers(start + 1, 24 * 60 - 1), "end minute")
+    sign = "-" if offset < 0 else "+"
+    config = ContextConfig.from_dict({
+        "working_days": [name for name, day in WEEKDAYS.items() if day in days],
+        "day_start": _hhmm(start), "day_end": _hhmm(end),
+        "timezone": sign + _hhmm(abs(offset)), "trusted_networks": ["10.0.0.0/8"]})
+    tz = timezone(timedelta(minutes=offset))
+    if data.draw(st.booleans(), "at an edge"):
+        day = data.draw(st.dates(date(1900, 1, 2), date(2099, 12, 30)))
+        edge = data.draw(st.sampled_from((start, end)))
+        now = (datetime.combine(day, time(), tz) + timedelta(minutes=edge)
+               + timedelta(microseconds=data.draw(st.sampled_from((-1, 0, 1)))))
+    else:
+        zone = timezone(timedelta(minutes=data.draw(st.integers(-1439, 1439), "zone")))
+        now = data.draw(st.datetimes(datetime(1900, 1, 2), datetime(2099, 12, 30),
+                                     timezones=st.just(zone)))
+    expected = _in_hours_by_datetime(now, days, time(*divmod(start, 60)),
+                                     time(*divmod(end, 60)), tz)
+    assert (OUTSIDE_HOURS not in reasons(ON_SITE, now, config)) == expected

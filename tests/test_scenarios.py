@@ -249,13 +249,18 @@ def test_cli_serve_startup_failure_exits_nonzero(tmp_path, capsys):
     lambda raw: raw.pop("user_store_path"),
     lambda raw: raw["clients"][0].pop("address"),
     lambda raw: raw.update(clock_override="2026-08-04T10:00:00"),
+    lambda raw: raw["context"].update(timezone="+-5:00"),
+    lambda raw: raw["context"].update(day_start="8:00"),
+    lambda raw: b"[" * 100_000 + b"]" * 100_000,
 ], ids=["bind_address", "clock_override", "timezone", "clients-object", "client-string",
         "secret_hex", "user_store_path", "client-int-address", "trusted-int-network",
         "unknown-top-level-key", "unknown-otp-key", "unknown-session-key",
         "unknown-client-key", "unknown-context-key", "secret_hex-not-hex",
-        "missing-user-store-path", "missing-client-address", "clock_override-naive"])
+        "missing-user-store-path", "missing-client-address", "clock_override-naive",
+        "timezone-two-signs", "day_start-one-digit", "nested-too-deeply"])
 def test_cli_serve_malformed_config_exits_nonzero(tmp_path, capsys, monkeypatch, malform):
-    """A value of the wrong JSON type fails at load with one line, not a traceback."""
+    """A value of the wrong JSON type fails at load with one line, not a traceback.
+    A case that returns bytes replaces the whole file with them."""
     def loaded(config):
         raise AssertionError("config loaded")
 
@@ -263,8 +268,8 @@ def test_cli_serve_malformed_config_exits_nonzero(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr("ctxradius.cli.run_server", loaded)
     config_path = write_demo_fixtures(tmp_path, port=0)
     raw = json.loads(config_path.read_text())
-    malform(raw)
-    config_path.write_text(json.dumps(raw))
+    text = malform(raw)
+    config_path.write_bytes(text if isinstance(text, bytes) else json.dumps(raw).encode())
     code = main(["serve", "--config", str(config_path)])
     err = capsys.readouterr().err
     assert code == 1
@@ -284,11 +289,17 @@ def test_cli_serve_malformed_config_exits_nonzero(tmp_path, capsys, monkeypatch,
     (lambda rows: [{**rows[0], "salt": "zz" * 16}], "entry 0: non-hexadecimal"),
     (lambda rows: [{k: v for k, v in rows[0].items() if k != "otp_channel"}],
      "entry 0: keys must be"),
+    (lambda rows: [rows[0], {**rows[1], "otp_channel": "sms:eve\tx"}],
+     "entry 1: otp_channel must be printable"),
+    (lambda rows: [{**rows[0], "otp_channel": ""}], "entry 0: otp_channel must be printable"),
+    (lambda rows: b"[" * 100_000 + b"]" * 100_000, "users.json: JSON nested too deeply"),
 ], ids=["top-level-object", "entry-not-object", "salt-int", "username-int", "otp_channel-int",
-        "duplicate-username", "digest-short", "unknown-key", "salt-not-hex", "missing-key"])
+        "duplicate-username", "digest-short", "unknown-key", "salt-not-hex", "missing-key",
+        "otp_channel-tab", "otp_channel-empty", "nested-too-deeply"])
 def test_cli_serve_malformed_user_store_exits_nonzero(tmp_path, capsys, monkeypatch,
                                                       malform, detail):
-    """A store `UserStore.save` could not have written fails at load with one line."""
+    """A store `UserStore.save` could not have written fails at load with one line.
+    A case that returns bytes writes them as the whole file."""
     def bind(self):
         raise AssertionError("user store loaded")
 
@@ -296,7 +307,8 @@ def test_cli_serve_malformed_user_store_exits_nonzero(tmp_path, capsys, monkeypa
     monkeypatch.setattr("ctxradius.server.Server.bind", bind)
     config_path = write_demo_fixtures(tmp_path, port=0)
     store = tmp_path / "users.json"
-    store.write_text(json.dumps(malform(json.loads(store.read_text()))))
+    text = malform(json.loads(store.read_text()))
+    store.write_bytes(text if isinstance(text, bytes) else json.dumps(text).encode())
     code = main(["serve", "--config", str(config_path)])
     err = capsys.readouterr().err
     assert code == 1

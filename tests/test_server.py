@@ -24,7 +24,7 @@ from ctxradius.auth import (
     UserStore,
     latest_otp,
 )
-from ctxradius.context import ConfigError, ImplausibilityReason, evaluate_plausibility
+from ctxradius.context import ConfigError, ImplausibilityReason, evaluate_plausibility, stamp
 from ctxradius.scenarios import DEMO_SECRET, DEMO_USERS, write_demo_fixtures
 from ctxradius.server import (
     ROLE_NAMES,
@@ -189,7 +189,7 @@ def test_otp_leg_bound_to_its_user_name(tmp_path):
         "bob", otp, service_type=admin, identifier=3, state=state))
     assert bobs.code is PacketCode.ACCESS_REJECT
     assert last_event() == ["reject", "bob", "UnknownChallenge"]
-    assert server.auth.session_for("bob", server.clock()) is None
+    assert server.auth.session_for("bob", stamp(server.clock())) is None
 
     alices = handle(server, access_request(
         ALICE, otp, service_type=admin, identifier=4, state=state))
@@ -500,7 +500,7 @@ def test_matrix_holds_with_and_without_a_session(server, session, context, acces
             server.handle_datagram(access_request(
                 ALICE, otp, service_type=service_type, identifier=2, state=state),
                 PEER, IN_HOURS)
-        held = server.auth.session_for(ALICE, IN_HOURS)
+        held = server.auth.session_for(ALICE, stamp(IN_HOURS))
         assert f"{ROLE_NAMES[held.granted_role]}/{held.factors_verified}" == session
 
     nas_ip, now = CONTEXTS[context]
@@ -628,8 +628,8 @@ def test_int_address_placed_as_ipaddress_places_it(tmp_path, network):
     for value in (first, last, (first - 1) % 2**32, (last + 1) % 2**32):
         address = IPv4Address(value)
         assert (server._client_for(value) is entry) is (address in network)
-        verdict = evaluate_plausibility(address, server.clock(), context)
-        assert evaluate_plausibility(value, server.clock(), context) is verdict
+        verdict = evaluate_plausibility(address, stamp(server.clock()), context)
+        assert evaluate_plausibility(value, stamp(server.clock()), context) is verdict
         assert (ImplausibilityReason.OFF_SITE not in verdict.reasons) is (address in network)
 
 

@@ -28,3 +28,9 @@ def test_every_absolute_import_is_stdlib():
         if module not in sys.stdlib_module_names
     }
     assert not outside
+
+
+def test_every_source_parses_as_python_3_10():
+    """pyproject.toml promises Python 3.10; no source may use later syntax."""
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
