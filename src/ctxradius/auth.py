@@ -33,9 +33,9 @@ from enum import Enum, IntEnum
 from pathlib import Path
 from typing import NamedTuple
 
-from .context import ContextVerdict, require_number
+from .context import MAX_DURATION_SECONDS, ContextVerdict, require_number
 from .policy import RequestedAction, SecurityLevel, required_security
-from .wire import MAX_PASSWORD_LEN
+from .wire import MAX_ATTR_VALUE_LEN, MAX_PASSWORD_LEN
 
 # Live challenges one user may hold; a High request past it is rejected.
 MAX_PENDING_PER_USER = 3
@@ -120,8 +120,9 @@ class UserStore:
 
         The file is a JSON list of objects with exactly the keys username,
         salt, digest and otp_channel; the username and channel are strings,
-        the channel printable and non-empty, the salt hex of at least 16
-        octets, the digest hex of exactly 32, and no username repeats.  Any
+        the username 1 to 253 octets in UTF-8, the channel printable and
+        non-empty, the salt hex of at least 16 octets, the digest hex of
+        exactly 32, and no username repeats.  Any
         fault is a ValueError naming the entry, or the store if too deep.
         """
         with open(path, encoding="utf-8") as fh:
@@ -142,6 +143,9 @@ class UserStore:
                 name, channel = entry["username"], entry["otp_channel"]
                 if not isinstance(name, str) or not isinstance(channel, str):
                     raise ValueError("username and otp_channel must be strings")
+                # a User-Name attribute carries 1 to 253 octets
+                if not 0 < len(name.encode()) <= MAX_ATTR_VALUE_LEN:
+                    raise ValueError(f"username must be 1 to {MAX_ATTR_VALUE_LEN} UTF-8 octets")
                 if not channel or not channel.isprintable():
                     raise ValueError(f"otp_channel must be printable and non-empty: {channel!r}")
                 if name in records:
@@ -238,8 +242,8 @@ class AuthPolicy:
 
     def __post_init__(self) -> None:
         for name in ("otp_ttl_seconds", "session_ttl_seconds"):
-            require_number(name, getattr(self, name), (int, float), 0, math.inf,
-                           "a positive number")
+            require_number(name, getattr(self, name), (int, float), 0, MAX_DURATION_SECONDS,
+                           f"a positive number below {MAX_DURATION_SECONDS}")
         require_number("otp_max_attempts", self.otp_max_attempts, (int,), 0, math.inf,
                        "a positive int")
         # the OTP travels in User-Password

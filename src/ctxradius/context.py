@@ -26,6 +26,9 @@ WEEKDAYS = {
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = datetime.resolution
+# A duration must be below this many seconds (about 31.7 years), so that its
+# count of microseconds is a finite int the clock can add.
+MAX_DURATION_SECONDS = 10**9
 _CLOCK = re.compile(r"([+-]?)([01]\d|2[0-3]):([0-5]\d)", re.ASCII)  # HH:MM, signed or not
 
 
@@ -69,7 +72,8 @@ class ContextConfig:
     Times are int seconds: the window's ends after local midnight, the
     fixed offset (no DST rules) east of UTC.  The window is half-open: an
     instant exactly at day_start is inside, one exactly at day_end is
-    outside.  Overnight windows (end <= start) are rejected.
+    outside, so a day_end of 86400 ("24:00") keeps the window open to midnight.
+    Overnight windows (end <= start) are rejected.
     """
 
     working_days: frozenset[int]
@@ -133,8 +137,11 @@ _VERDICTS = {
 
 
 def parse_clock(text: str, signed: bool = False) -> int:
-    """Seconds of a strict "HH:MM", two ASCII digits each, 00:00 to 23:59;
-    `signed` asks for a "+HH:MM" / "-HH:MM" offset east of UTC instead."""
+    """Seconds of a strict "HH:MM", two ASCII digits each, 00:00 to 23:59,
+    or "24:00", the midnight that ends a day; `signed` asks for a "+HH:MM" /
+    "-HH:MM" offset east of UTC instead, with hours to 23."""
+    if not signed and text == "24:00":
+        return 86400
     match = isinstance(text, str) and _CLOCK.fullmatch(text)
     if not match or bool(match[1]) != signed:
         raise ConfigError(f"expected {'+HH:MM offset' if signed else 'HH:MM'}, got {text!r}")

@@ -20,7 +20,6 @@ thread ever holds two locks.
 from __future__ import annotations
 
 import json
-import math
 import socket
 import struct
 import sys
@@ -43,6 +42,7 @@ from .auth import (
     UserStore,
 )
 from .context import (
+    MAX_DURATION_SECONDS,
     ConfigError,
     ContextConfig,
     evaluate_plausibility,
@@ -102,7 +102,7 @@ class ServerConfig:
         if not isinstance(self.bind_address, str):
             raise ConfigError(f"bind_address must be a str, got {self.bind_address!r}")
         require_number("dedup_window_seconds", self.dedup_window_seconds, (int, float),
-                       0, math.inf, "a positive number")
+                       0, MAX_DURATION_SECONDS, f"a positive number below {MAX_DURATION_SECONDS}")
         require_number("port", self.port, (int,), -1, 65536, "an int from 0 to 65535")
         if self.clock_override is not None and self.clock_override.tzinfo is None:
             raise ConfigError(
@@ -317,7 +317,7 @@ class Server:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             sock.bind((self.config.bind_address, self.config.port))
-        except OSError as exc:
+        except (OSError, TypeError) as exc:  # TypeError: a NUL or unencodable host name
             sock.close()
             raise ServerStartupError(
                 f"cannot bind {self.config.bind_address}:{self.config.port}: {exc}"

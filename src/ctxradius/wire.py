@@ -58,59 +58,25 @@ CODE_NAMES = {
 
 
 class WireError(ValueError):
-    """Base class for codec and password-transform failures."""
-
-
-class AttributeTooLong(WireError):
-    pass
-
-
-class PacketTooLong(WireError):
-    pass
-
-
-class Truncated(WireError):
-    pass
-
-
-class MalformedAttribute(WireError):
-    pass
-
-
-class UnknownCode(WireError):
-    pass
-
-
-class EmptyPassword(WireError):
-    pass
-
-
-class PasswordTooLong(WireError):
-    pass
-
-
-class PasswordContainsPad(WireError):
-    pass
-
-
-class EmptySecret(WireError):
-    pass
-
-
-class BadLength(WireError):
-    pass
-
-
-class AllPadRecovered(WireError):
-    pass
+    """Any codec or password-transform failure; the message names the fault."""
 
 
 def _md5(data: bytes) -> bytes:
     return hashlib.md5(data, usedforsecurity=False).digest()
 
 
-def _xor_block(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(BLOCK_LEN, "big")
+def _chain(data: bytes, secret: bytes, ra: bytes, hiding: bool) -> bytes:
+    """XOR each 16-octet block of `data` with MD5(secret + previous cipher
+    block), the chain seeded by `ra`; the cipher block is the output when
+    hiding and the input when recovering."""
+    out = []
+    prev = ra
+    for i in range(0, len(data), BLOCK_LEN):
+        block = data[i:i + BLOCK_LEN]
+        key = int.from_bytes(_md5(secret + prev), "big")
+        out.append((int.from_bytes(block, "big") ^ key).to_bytes(BLOCK_LEN, "big"))
+        prev = out[-1] if hiding else block
+    return b"".join(out)
 
 
 @dataclass(frozen=True)
@@ -122,9 +88,9 @@ class Attribute:
 
     def __post_init__(self) -> None:
         if not 1 <= self.attr_type <= 255:
-            raise MalformedAttribute(f"attribute type {self.attr_type} outside 1-255")
+            raise WireError(f"attribute type {self.attr_type} outside 1-255")
         if len(self.value) > MAX_ATTR_VALUE_LEN:
-            raise AttributeTooLong(
+            raise WireError(
                 f"attribute value is {len(self.value)} octets, maximum is {MAX_ATTR_VALUE_LEN}"
             )
 
@@ -142,7 +108,7 @@ class Packet:
         try:
             object.__setattr__(self, "code", PacketCode(self.code))
         except ValueError:
-            raise UnknownCode(f"packet code {self.code} is not a known code") from None
+            raise WireError(f"packet code {self.code} is not a known code") from None
         if not 0 <= self.identifier <= 255:
             raise WireError(f"identifier {self.identifier} outside 0-255")
         if len(self.authenticator) != 16:
@@ -168,10 +134,10 @@ def encode_attribute(attr_type: int, value: bytes) -> bytes:
 
 
 def frame(code: int, identifier: int, authenticator: bytes, body: bytes) -> bytes:
-    """A packet: code(1) id(1) length(2,BE) authenticator(16) body; PacketTooLong past the limit."""
+    """A packet: code(1) id(1) length(2,BE) authenticator(16) body; WireError past the limit."""
     length = HEADER_LEN + len(body)
     if length > MAX_PACKET_LEN:
-        raise PacketTooLong(f"encoded packet is {length} octets, maximum is {MAX_PACKET_LEN}")
+        raise WireError(f"encoded packet is {length} octets, maximum is {MAX_PACKET_LEN}")
     return struct.pack("!BBH", code, identifier, length) + authenticator + body
 
 
@@ -185,34 +151,34 @@ def scan_packet(data: bytes) -> tuple[int, int, bytes, list[tuple[int, bytes]]]:
     """Walk a datagram once, with no per-attribute objects: its code,
     identifier, authenticator and `(type, value)` pairs in wire order.
 
-    Total over arbitrary input: raises only WireError subclasses, each
-    attribute's fault in turn, then an unknown code.  The declared length
+    Total over arbitrary input: raises only WireError, for each attribute's
+    fault in turn, then an unknown code.  The declared length
     governs; surplus octets beyond it are ignored."""
     if len(data) < HEADER_LEN:
-        raise Truncated(f"{len(data)} octets is below the {HEADER_LEN}-octet header")
+        raise WireError(f"{len(data)} octets is below the {HEADER_LEN}-octet header")
     code, identifier, length = struct.unpack_from("!BBH", data)
     if length < HEADER_LEN:
-        raise Truncated(f"declared length {length} is below the header size")
+        raise WireError(f"declared length {length} is below the header size")
     if len(data) < length:
-        raise Truncated(f"{len(data)} octets received, {length} declared")
+        raise WireError(f"{len(data)} octets received, {length} declared")
 
     attributes = []
     pos = HEADER_LEN
     while pos < length:
         if length - pos < 2:
-            raise MalformedAttribute("dangling attribute octet")
+            raise WireError("dangling attribute octet")
         attr_type = data[pos]
         attr_len = data[pos + 1]
         if attr_len < 2:
-            raise MalformedAttribute(f"attribute length {attr_len} is below 2")
+            raise WireError(f"attribute length {attr_len} is below 2")
         if pos + attr_len > length:
-            raise MalformedAttribute("attribute overruns the declared packet length")
+            raise WireError("attribute overruns the declared packet length")
         if not attr_type:
-            raise MalformedAttribute("attribute type 0 outside 1-255")
+            raise WireError("attribute type 0 outside 1-255")
         attributes.append((attr_type, data[pos + 2:pos + attr_len]))
         pos += attr_len
     if code not in CODE_NAMES:
-        raise UnknownCode(f"packet code {code} is not a known code")
+        raise WireError(f"packet code {code} is not a known code")
     return code, identifier, data[4:HEADER_LEN], attributes
 
 
@@ -230,49 +196,32 @@ def hide_password(plaintext: bytes, secret: bytes, ra: bytes) -> bytes:
     where the chain is seeded by the Request Authenticator.
     """
     if not plaintext:
-        raise EmptyPassword("password must not be empty")
+        raise WireError("password must not be empty")
     if len(plaintext) > MAX_PASSWORD_LEN:
-        raise PasswordTooLong(
-            f"password is {len(plaintext)} octets, maximum is {MAX_PASSWORD_LEN}"
-        )
+        raise WireError(f"password is {len(plaintext)} octets, maximum is {MAX_PASSWORD_LEN}")
     if b"\x00" in plaintext:
-        raise PasswordContainsPad("password contains the 0x00 pad octet")
+        raise WireError("password contains the 0x00 pad octet")
     if not secret:
-        raise EmptySecret("shared secret must not be empty")
+        raise WireError("shared secret must not be empty")
     if len(ra) != 16:
         raise WireError("request authenticator must be exactly 16 octets")
 
-    padded = plaintext + b"\x00" * (-len(plaintext) % BLOCK_LEN)
-    blocks = []
-    prev = ra
-    for i in range(0, len(padded), BLOCK_LEN):
-        key = _md5(secret + prev)
-        cipher = _xor_block(padded[i:i + BLOCK_LEN], key)
-        blocks.append(cipher)
-        prev = cipher
-    return b"".join(blocks)
+    return _chain(plaintext + b"\x00" * (-len(plaintext) % BLOCK_LEN), secret, ra, True)
 
 
 def recover_password(hidden: bytes, secret: bytes, ra: bytes) -> bytes:
     """Invert hide_password and strip the trailing zero pad."""
     if not hidden or len(hidden) % BLOCK_LEN != 0 or len(hidden) > MAX_PASSWORD_LEN:
-        raise BadLength(
+        raise WireError(
             f"hidden password of {len(hidden)} octets is not a positive multiple "
             f"of {BLOCK_LEN} at most {MAX_PASSWORD_LEN}"
         )
     if len(ra) != 16:
         raise WireError("request authenticator must be exactly 16 octets")
 
-    plain = b""
-    prev = ra
-    for i in range(0, len(hidden), BLOCK_LEN):
-        cipher = hidden[i:i + BLOCK_LEN]
-        key = _md5(secret + prev)
-        plain += _xor_block(cipher, key)
-        prev = cipher
-    plain = plain.rstrip(b"\x00")
+    plain = _chain(hidden, secret, ra, False).rstrip(b"\x00")
     if not plain:
-        raise AllPadRecovered("recovered nothing but pad octets; wrong secret or corrupt data")
+        raise WireError("recovered nothing but pad octets; wrong secret or corrupt data")
     return plain
 
 

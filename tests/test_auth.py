@@ -98,6 +98,14 @@ def test_user_store_save_load_round_trip(tmp_path):
     assert loaded.get("alice").otp_channel == "sms:alice"
 
 
+def test_username_of_253_octets_loads(tmp_path):
+    """The longest username a User-Name attribute can carry is in bounds."""
+    name = "\u00e9" * 126 + "x"
+    path = tmp_path / "users.json"
+    UserStore.save(path, [UserRecord.create(name, "pw", "sms:x")])
+    assert verify_first_factor(name, b"pw", UserStore.load(path))
+
+
 def test_short_salt_rejected(tmp_path):
     """A short salt is rejected where the store enters the program, at load."""
     path = tmp_path / "users.json"

@@ -131,12 +131,39 @@ def test_bad_offset_rejected(text):
         parse_clock(text, signed=True)
 
 
-@pytest.mark.parametrize("text", ["8:00", " 8: 00", "\u0668:00", "08:60", "24:00", "0800",
-                                  "+08:00", "08:00\n", 800])
+@pytest.mark.parametrize("text", ["8:00", " 8: 00", "\u0668:00", "08:60", "0800",
+                                  "+08:00", "08:00\n", 800, "24:01", "+24:00", "24:00\n"])
 def test_bad_hhmm_rejected(text):
     raw = {"working_days": ["monday"], "day_start": text, "day_end": "23:00",
            "timezone": "+00:00", "trusted_networks": ["10.0.0.0/8"]}
     with pytest.raises(ConfigError, match="expected HH:MM"):
+        ContextConfig.from_dict(raw)
+
+
+def test_day_end_24_00_is_the_midnight_that_ends_the_day():
+    """A window may run to local midnight: its last microsecond is in hours."""
+    assert parse_clock("24:00") == 86400
+    config = ContextConfig.from_dict({
+        "working_days": ["tuesday"], "day_start": "00:00", "day_end": "24:00",
+        "timezone": "+02:00", "trusted_networks": ["10.0.0.0/8"]})
+    assert config.day_end == 86400
+    tue_midnight = datetime(2026, 8, 4, tzinfo=timezone(timedelta(hours=2)))
+    assert reasons(ON_SITE, tue_midnight, config) == frozenset()
+    last = tue_midnight + timedelta(days=1, microseconds=-1)
+    assert reasons(ON_SITE, last, config) == frozenset()
+    assert reasons(ON_SITE, last + timedelta(microseconds=1), config) == {OUTSIDE_HOURS}
+
+
+@pytest.mark.parametrize("key, text, fault", [
+    ("day_start", "24:00", "day_start must be strictly before day_end"),
+    ("timezone", "24:00", r"expected \+HH:MM offset"),
+    ("timezone", "+24:00", r"expected \+HH:MM offset"),
+    ("day_end", "+24:00", "expected HH:MM"),
+], ids=["day_start", "timezone-unsigned", "timezone-signed", "day_end-signed"])
+def test_24_00_only_ends_a_day(key, text, fault):
+    raw = {"working_days": ["monday"], "day_start": "08:00", "day_end": "23:00",
+           "timezone": "+00:00", "trusted_networks": ["10.0.0.0/8"], key: text}
+    with pytest.raises(ConfigError, match=fault):
         ContextConfig.from_dict(raw)
 
 
@@ -180,9 +207,11 @@ def _hhmm(minutes: int) -> str:
 
 def _in_hours_by_datetime(now: datetime, days: frozenset[int], start: time, end: time,
                           tz: timezone) -> bool:
-    """Reference oracle: the working-hours check done with datetime objects."""
+    """Reference oracle: the working-hours check done with datetime objects;
+    an `end` of None is the midnight that ends the day."""
     local = now.astimezone(tz)
-    return local.weekday() in days and start <= local.time() < end
+    return (local.weekday() in days and start <= local.time()
+            and (end is None or local.time() < end))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -194,7 +223,7 @@ def test_int_clock_check_matches_the_datetime_reference(data):
     offset = data.draw(st.integers(-(23 * 60 + 59), 23 * 60 + 59), "offset minutes")
     days = data.draw(st.frozensets(st.integers(0, 6), min_size=1), "working days")
     start = data.draw(st.integers(0, 24 * 60 - 2), "start minute")
-    end = data.draw(st.integers(start + 1, 24 * 60 - 1), "end minute")
+    end = data.draw(st.integers(start + 1, 24 * 60), "end minute")
     sign = "-" if offset < 0 else "+"
     config = ContextConfig.from_dict({
         "working_days": [name for name, day in WEEKDAYS.items() if day in days],
@@ -211,5 +240,5 @@ def test_int_clock_check_matches_the_datetime_reference(data):
         now = data.draw(st.datetimes(datetime(1900, 1, 2), datetime(2099, 12, 30),
                                      timezones=st.just(zone)))
     expected = _in_hours_by_datetime(now, days, time(*divmod(start, 60)),
-                                     time(*divmod(end, 60)), tz)
+                                     time(*divmod(end, 60)) if end < 24 * 60 else None, tz)
     assert (OUTSIDE_HOURS not in reasons(ON_SITE, now, config)) == expected

@@ -252,12 +252,16 @@ def test_cli_serve_startup_failure_exits_nonzero(tmp_path, capsys):
     lambda raw: raw["context"].update(timezone="+-5:00"),
     lambda raw: raw["context"].update(day_start="8:00"),
     lambda raw: b"[" * 100_000 + b"]" * 100_000,
+    lambda raw: raw.update(dedup_window_seconds=1e308),
+    lambda raw: raw["session"].update(ttl_seconds=1e308),
+    lambda raw: raw["otp"].update(ttl_seconds=1e308),
 ], ids=["bind_address", "clock_override", "timezone", "clients-object", "client-string",
         "secret_hex", "user_store_path", "client-int-address", "trusted-int-network",
         "unknown-top-level-key", "unknown-otp-key", "unknown-session-key",
         "unknown-client-key", "unknown-context-key", "secret_hex-not-hex",
         "missing-user-store-path", "missing-client-address", "clock_override-naive",
-        "timezone-two-signs", "day_start-one-digit", "nested-too-deeply"])
+        "timezone-two-signs", "day_start-one-digit", "nested-too-deeply",
+        "dedup-window-1e308", "session-ttl-1e308", "otp-ttl-1e308"])
 def test_cli_serve_malformed_config_exits_nonzero(tmp_path, capsys, monkeypatch, malform):
     """A value of the wrong JSON type fails at load with one line, not a traceback.
     A case that returns bytes replaces the whole file with them."""
@@ -293,9 +297,12 @@ def test_cli_serve_malformed_config_exits_nonzero(tmp_path, capsys, monkeypatch,
      "entry 1: otp_channel must be printable"),
     (lambda rows: [{**rows[0], "otp_channel": ""}], "entry 0: otp_channel must be printable"),
     (lambda rows: b"[" * 100_000 + b"]" * 100_000, "users.json: JSON nested too deeply"),
+    (lambda rows: [{**rows[0], "username": ""}], "entry 0: username must be 1 to 253"),
+    (lambda rows: [{**rows[0], "username": "\u00e9" * 127}], "entry 0: username must be 1 to 253"),
 ], ids=["top-level-object", "entry-not-object", "salt-int", "username-int", "otp_channel-int",
         "duplicate-username", "digest-short", "unknown-key", "salt-not-hex", "missing-key",
-        "otp_channel-tab", "otp_channel-empty", "nested-too-deeply"])
+        "otp_channel-tab", "otp_channel-empty", "nested-too-deeply", "username-empty",
+        "username-254-octets"])
 def test_cli_serve_malformed_user_store_exits_nonzero(tmp_path, capsys, monkeypatch,
                                                       malform, detail):
     """A store `UserStore.save` could not have written fails at load with one line.
@@ -314,6 +321,24 @@ def test_cli_serve_malformed_user_store_exits_nonzero(tmp_path, capsys, monkeypa
     assert code == 1
     assert err.count("server startup failed:") == 1
     assert detail in err
+    assert "Traceback" not in err
+
+
+def test_cli_serve_nul_bind_address_exits_nonzero(tmp_path, capsys, monkeypatch):
+    """A host name the socket layer refuses with a TypeError, not an OSError,
+    still fails as one `cannot bind` line."""
+    def serve_forever(self):
+        raise AssertionError("bound")
+
+    monkeypatch.setattr("ctxradius.server.Server.serve_forever", serve_forever)
+    config_path = write_demo_fixtures(tmp_path, port=0)
+    raw = json.loads(config_path.read_text())
+    raw["bind_address"] = "\u0000"
+    config_path.write_text(json.dumps(raw))
+    code = main(["serve", "--config", str(config_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("server startup failed: cannot bind ") == 1
     assert "Traceback" not in err
 
 
