@@ -13,8 +13,9 @@ Instants and expiries are integer microseconds since the epoch.
 
 Both stores are keyed by username, so no decision reads another user's
 entries.  A challenge is registered only after the first factor passes,
-and a user's expired challenges are dropped when that user is next
-challenged; the challenge store therefore holds at most
+a user's expired challenges are dropped when that user is next
+challenged, and a user's table is dropped with its last challenge; the
+challenge store therefore holds no empty table, and at most
 `MAX_PENDING_PER_USER` entries per user in the user store, as the session
 store holds at most one.
 """
@@ -33,7 +34,7 @@ from enum import Enum, IntEnum
 from pathlib import Path
 from typing import NamedTuple
 
-from .context import MAX_DURATION_SECONDS, ContextVerdict, require_number
+from .context import ContextVerdict, require_duration, require_number
 from .policy import RequestedAction, SecurityLevel, required_security
 from .wire import MAX_ATTR_VALUE_LEN, MAX_PASSWORD_LEN
 
@@ -105,6 +106,42 @@ class UserRecord(NamedTuple):
         return cls(username, salt, hashlib.sha256(salt + password).digest(), otp_channel)
 
 
+def _entry_record(entry: dict) -> UserRecord:
+    """The record a user store entry holds; TypeError or ValueError says why
+    the entry holds none."""
+    if entry.keys() != _ENTRY_KEYS:
+        raise ValueError(f"keys must be {sorted(_ENTRY_KEYS)}, got {sorted(entry)}")
+    name, channel = entry["username"], entry["otp_channel"]
+    if not isinstance(name, str) or not isinstance(channel, str):
+        raise ValueError("username and otp_channel must be strings")
+    # a User-Name attribute carries 1 to 253 octets
+    if not 0 < len(name.encode()) <= MAX_ATTR_VALUE_LEN:
+        raise ValueError(f"username must be 1 to {MAX_ATTR_VALUE_LEN} UTF-8 octets")
+    if not channel or not channel.isprintable():
+        raise ValueError(f"otp_channel must be printable and non-empty: {channel!r}")
+    salt, digest = bytes.fromhex(entry["salt"]), bytes.fromhex(entry["digest"])
+    if len(salt) < 16:
+        raise ValueError("salt must be at least 16 octets")
+    if len(digest) != 32:
+        raise ValueError("digest must be exactly 32 octets")
+    return tuple.__new__(UserRecord, (name, salt, digest, channel))
+
+
+def _record_or_object(obj: dict) -> UserRecord | dict:
+    """The decoder's hook: each JSON object as its record, or unchanged if
+    it is not a valid entry."""
+    try:
+        return _entry_record(obj)
+    except (TypeError, ValueError):
+        return obj
+
+
+def _as_read(value: object) -> object:
+    """`value` with a record the hook made from a nested object standing for
+    that object again, so that a message names the type the file holds."""
+    return {} if type(value) is UserRecord else value
+
+
 class UserStore:
     """Read-only map of usernames to records, loaded once at startup."""
 
@@ -124,40 +161,32 @@ class UserStore:
         non-empty, the salt hex of at least 16 octets, the digest hex of
         exactly 32, and no username repeats.  Any
         fault is a ValueError naming the entry, or the store if too deep.
+
+        Each object is checked as the decoder builds it and a valid entry
+        becomes its record at once, so a load never holds the file's
+        objects beside the records.
         """
         with open(path, encoding="utf-8") as fh:
             try:
-                raw = json.load(fh)
+                raw = json.load(fh, object_hook=_record_or_object)
             except RecursionError:
                 raise ValueError(f"{path}: JSON nested too deeply") from None
         if not isinstance(raw, list):
-            raise ValueError(f"must be a JSON list of objects, got {type(raw).__name__}")
+            raise ValueError(
+                f"must be a JSON list of objects, got {type(_as_read(raw)).__name__}")
         store = cls()
         records = store._records
-        for index, entry in enumerate(raw):
-            try:
-                if not isinstance(entry, dict):
-                    raise ValueError(f"must be an object, got {type(entry).__name__}")
-                if entry.keys() != _ENTRY_KEYS:
-                    raise ValueError(f"keys must be {sorted(_ENTRY_KEYS)}, got {sorted(entry)}")
-                name, channel = entry["username"], entry["otp_channel"]
-                if not isinstance(name, str) or not isinstance(channel, str):
-                    raise ValueError("username and otp_channel must be strings")
-                # a User-Name attribute carries 1 to 253 octets
-                if not 0 < len(name.encode()) <= MAX_ATTR_VALUE_LEN:
-                    raise ValueError(f"username must be 1 to {MAX_ATTR_VALUE_LEN} UTF-8 octets")
-                if not channel or not channel.isprintable():
-                    raise ValueError(f"otp_channel must be printable and non-empty: {channel!r}")
-                if name in records:
-                    raise ValueError(f"duplicate username {name!r}")
-                salt, digest = bytes.fromhex(entry["salt"]), bytes.fromhex(entry["digest"])
-                if len(salt) < 16:
-                    raise ValueError("salt must be at least 16 octets")
-                if len(digest) != 32:
-                    raise ValueError("digest must be exactly 32 octets")
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"entry {index}: {exc}") from None
-            records[name] = UserRecord(name, salt, digest, channel)
+        for index, record in enumerate(raw):
+            if type(record) is not UserRecord:
+                try:
+                    if not isinstance(record, dict):
+                        raise ValueError(f"must be an object, got {type(record).__name__}")
+                    record = _entry_record({k: _as_read(v) for k, v in record.items()})
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"entry {index}: {exc}") from None
+            if record.username in records:
+                raise ValueError(f"entry {index}: duplicate username {record.username!r}")
+            records[record.username] = record
         return store
 
     @staticmethod
@@ -241,13 +270,12 @@ class AuthPolicy:
     session_ttl_seconds: int = 8 * 3600
 
     def __post_init__(self) -> None:
-        for name in ("otp_ttl_seconds", "session_ttl_seconds"):
-            require_number(name, getattr(self, name), (int, float), 0, MAX_DURATION_SECONDS,
-                           f"a positive number below {MAX_DURATION_SECONDS}")
-        require_number("otp_max_attempts", self.otp_max_attempts, (int,), 0, math.inf,
+        require_duration("otp_ttl_seconds", self.otp_ttl_seconds)
+        require_duration("session_ttl_seconds", self.session_ttl_seconds)
+        require_number("otp_max_attempts", self.otp_max_attempts, (int,), 1, math.inf,
                        "a positive int")
         # the OTP travels in User-Password
-        require_number("otp_digits", self.otp_digits, (int,), 0, MAX_PASSWORD_LEN + 1,
+        require_number("otp_digits", self.otp_digits, (int,), 1, MAX_PASSWORD_LEN + 1,
                        f"an int from 1 to {MAX_PASSWORD_LEN}")
 
 
@@ -352,15 +380,20 @@ class Authenticator:
         to this leg, and another user's leg leaves the challenge and its
         attempts as they were.  Every leg takes the challenge out, and only a
         wrong OTP with attempts left puts it back, so a token is single-use.
+        A table left empty is dropped with it.
         """
         pending = self._challenges.get(username, {})
         challenge = pending.pop(state_token, None)
         if challenge is None or now >= challenge.expires_at:
-            return AuthDecision.reject(RejectReason.UNKNOWN_CHALLENGE)
-        if not hmac.compare_digest(otp.encode(), challenge.otp_value.encode()):
+            decision = AuthDecision.reject(RejectReason.UNKNOWN_CHALLENGE)
+        elif not hmac.compare_digest(otp.encode(), challenge.otp_value.encode()):
             challenge.attempts_remaining -= 1
             if challenge.attempts_remaining > 0:
                 pending[state_token] = challenge
-            return AuthDecision.reject(RejectReason.BAD_OTP)
-        session = self._admit(username, challenge.role, 2, now)
-        return AuthDecision.accept(session.granted_role)
+            decision = AuthDecision.reject(RejectReason.BAD_OTP)
+        else:
+            session = self._admit(username, challenge.role, 2, now)
+            decision = AuthDecision.accept(session.granted_role)
+        if not pending:
+            self._challenges.pop(username, None)
+        return decision

@@ -5,23 +5,29 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import scenarios
 from .server import ServerStartupError, load_server_config, run_server
+
+# The replay client's scenario ids and timeout, written out so that `serve`
+# never imports it; a test pins them equal to `scenarios`'.
+SCENARIO_ORDER = ("S1", "S2", "S3", "E1")
+DEFAULT_TIMEOUT_MS = 2000
 
 
 def _add_scenario_commands(parser: argparse.ArgumentParser) -> None:
     sub = parser.add_subparsers(dest="scenario_command", required=True)
     run = sub.add_parser("run", help="replay scenarios against a running server")
-    run.add_argument("scenario", choices=list(scenarios.SCENARIO_ORDER) + ["all"])
+    run.add_argument("scenario", choices=list(SCENARIO_ORDER) + ["all"])
     run.add_argument("--server", required=True, metavar="ADDR:PORT")
     run.add_argument("--secret", required=True, metavar="HEX",
                      help="shared secret, hex encoded")
     run.add_argument("--delivery-log", required=True, metavar="PATH",
                      help="server-side OTP delivery log to read challenges from")
-    run.add_argument("--timeout-ms", type=int, default=scenarios.DEFAULT_TIMEOUT_MS)
+    run.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS)
 
 
 def _scenario_run(args: argparse.Namespace) -> int:
+    from . import scenarios
+
     host, _, port = args.server.rpartition(":")
     if not host or not port.isdigit():
         print(f"--server must be ADDR:PORT, got {args.server!r}", file=sys.stderr)
@@ -47,7 +53,9 @@ def _serve(args: argparse.Namespace) -> int:
 
 
 def _write_fixtures(args: argparse.Namespace) -> int:
-    config_path = scenarios.write_demo_fixtures(args.directory, port=args.port)
+    from .scenarios import write_demo_fixtures
+
+    config_path = write_demo_fixtures(args.directory, port=args.port)
     print(config_path)
     return 0
 

@@ -26,8 +26,10 @@ WEEKDAYS = {
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = datetime.resolution
-# A duration must be below this many seconds (about 31.7 years), so that its
-# count of microseconds is a finite int the clock can add.
+# A duration must be at least one microsecond, so that it never rounds to 0
+# on the clock, and below about 31.7 years, so that its count of
+# microseconds is a finite int the clock can add.
+MIN_DURATION_SECONDS = 1e-6
 MAX_DURATION_SECONDS = 10**9
 _CLOCK = re.compile(r"([+-]?)([01]\d|2[0-3]):([0-5]\d)", re.ASCII)  # HH:MM, signed or not
 
@@ -43,10 +45,17 @@ def stamp(now: datetime) -> int:
 
 def require_number(name: str, value: object, kinds: tuple[type, ...],
                    low: float, high: float, rule: str) -> None:
-    """Raise ConfigError unless `value` is an instance of `kinds` strictly
-    between `low` and `high`; a bool is neither an int nor a float."""
-    if isinstance(value, bool) or not isinstance(value, kinds) or not low < value < high:
+    """Raise ConfigError unless `value` is an instance of `kinds` from `low`
+    up to but not including `high`; a bool is neither an int nor a float."""
+    if isinstance(value, bool) or not isinstance(value, kinds) or not low <= value < high:
         raise ConfigError(f"{name} must be {rule}, got {value!r}")
+
+
+def require_duration(name: str, value: object) -> None:
+    """Raise ConfigError unless `value` is a number of seconds the
+    microsecond clock can hold."""
+    require_number(name, value, (int, float), MIN_DURATION_SECONDS, MAX_DURATION_SECONDS,
+                   f"a number from {MIN_DURATION_SECONDS} to below {MAX_DURATION_SECONDS}")
 
 
 def require_network(name: str, value: object, strict: bool = True) -> IPv4Network:

@@ -42,10 +42,10 @@ from .auth import (
     UserStore,
 )
 from .context import (
-    MAX_DURATION_SECONDS,
     ConfigError,
     ContextConfig,
     evaluate_plausibility,
+    require_duration,
     require_network,
     require_number,
     stamp,
@@ -101,9 +101,8 @@ class ServerConfig:
             raise ConfigError("at least one client entry is required")
         if not isinstance(self.bind_address, str):
             raise ConfigError(f"bind_address must be a str, got {self.bind_address!r}")
-        require_number("dedup_window_seconds", self.dedup_window_seconds, (int, float),
-                       0, MAX_DURATION_SECONDS, f"a positive number below {MAX_DURATION_SECONDS}")
-        require_number("port", self.port, (int,), -1, 65536, "an int from 0 to 65535")
+        require_duration("dedup_window_seconds", self.dedup_window_seconds)
+        require_number("port", self.port, (int,), 0, 65536, "an int from 0 to 65535")
         if self.clock_override is not None and self.clock_override.tzinfo is None:
             raise ConfigError(
                 f"clock_override needs a UTC offset, got {self.clock_override.isoformat()!r}")
@@ -196,7 +195,7 @@ class Server:
             raise ServerStartupError(f"cannot load user store: {exc}") from exc
         try:
             delivery = DeliveryLog(config.delivery_log_path)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise ServerStartupError(f"cannot open delivery log: {exc}") from exc
 
         self.config = config

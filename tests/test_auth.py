@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import tracemalloc
 from datetime import datetime
 
 import pytest
@@ -112,6 +113,24 @@ def test_short_salt_rejected(tmp_path):
     UserStore.save(path, [UserRecord("x", b"short", b"d" * 32, "sms:x")])
     with pytest.raises(ValueError, match="entry 0: salt must be at least 16 octets"):
         UserStore.load(path)
+
+
+def test_user_store_load_peaks_near_what_it_keeps(tmp_path):
+    """Entries are checked as the decoder builds them, so a load never holds
+    the whole file's objects beside the records: bytes traced at the peak stay
+    within 1.8 times the bytes the store keeps."""
+    path = tmp_path / "users.json"
+    UserStore.save(path, [UserRecord.create(f"user-{i:06d}", "pw", f"sms:user-{i:06d}")
+                          for i in range(2000)])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        store = UserStore.load(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert store.get("user-001999") is not None
+    assert peak - base <= 1.8 * (kept - base)
 
 
 # ---------------------------------------------------------------------------

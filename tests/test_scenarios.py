@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import ctxradius
-from ctxradius import wire
+from ctxradius import cli, scenarios, wire
 from ctxradius.cli import main, scenario_main
 from ctxradius.scenarios import (
     DEMO_SECRET,
@@ -255,13 +255,17 @@ def test_cli_serve_startup_failure_exits_nonzero(tmp_path, capsys):
     lambda raw: raw.update(dedup_window_seconds=1e308),
     lambda raw: raw["session"].update(ttl_seconds=1e308),
     lambda raw: raw["otp"].update(ttl_seconds=1e308),
+    lambda raw: raw.update(dedup_window_seconds=1e-7),
+    lambda raw: raw["session"].update(ttl_seconds=1e-7),
+    lambda raw: raw["otp"].update(ttl_seconds=1e-7),
 ], ids=["bind_address", "clock_override", "timezone", "clients-object", "client-string",
         "secret_hex", "user_store_path", "client-int-address", "trusted-int-network",
         "unknown-top-level-key", "unknown-otp-key", "unknown-session-key",
         "unknown-client-key", "unknown-context-key", "secret_hex-not-hex",
         "missing-user-store-path", "missing-client-address", "clock_override-naive",
         "timezone-two-signs", "day_start-one-digit", "nested-too-deeply",
-        "dedup-window-1e308", "session-ttl-1e308", "otp-ttl-1e308"])
+        "dedup-window-1e308", "session-ttl-1e308", "otp-ttl-1e308",
+        "dedup-window-1e-7", "session-ttl-1e-7", "otp-ttl-1e-7"])
 def test_cli_serve_malformed_config_exits_nonzero(tmp_path, capsys, monkeypatch, malform):
     """A value of the wrong JSON type fails at load with one line, not a traceback.
     A case that returns bytes replaces the whole file with them."""
@@ -342,6 +346,24 @@ def test_cli_serve_nul_bind_address_exits_nonzero(tmp_path, capsys, monkeypatch)
     assert "Traceback" not in err
 
 
+def test_cli_serve_nul_delivery_log_path_exits_nonzero(tmp_path, capsys, monkeypatch):
+    """A path the OS layer refuses with a ValueError, not an OSError, still
+    fails as one `cannot open delivery log` line."""
+    def bind(self):
+        raise AssertionError("delivery log opened")
+
+    monkeypatch.setattr("ctxradius.server.Server.bind", bind)
+    config_path = write_demo_fixtures(tmp_path, port=0)
+    raw = json.loads(config_path.read_text())
+    raw["delivery_log_path"] = "otp\u0000delivery.log"
+    config_path.write_text(json.dumps(raw))
+    code = main(["serve", "--config", str(config_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("server startup failed: cannot open delivery log: ") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_serve_occupied_port_exits_nonzero(tmp_path, capsys):
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.bind(("127.0.0.1", 0))
@@ -354,6 +376,27 @@ def test_cli_serve_occupied_port_exits_nonzero(tmp_path, capsys):
     assert code == 1
 
 
+def child_env() -> dict[str, str]:
+    """An environment whose Python imports the ctxradius this test imported,
+    installed or not."""
+    src = str(Path(ctxradius.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_serve_does_not_import_the_scenario_client():
+    """The daemon's start-up pays nothing for the replay client."""
+    probe = ("import sys; from ctxradius.cli import build_parser; "
+             "build_parser().parse_args(['serve', '--config', 'x']); "
+             "sys.exit('ctxradius.scenarios' in sys.modules)")
+    subprocess.run([sys.executable, "-c", probe], env=child_env(), check=True, timeout=60)
+
+
+def test_cli_scenario_constants_match_the_client():
+    assert cli.SCENARIO_ORDER == scenarios.SCENARIO_ORDER
+    assert cli.DEFAULT_TIMEOUT_MS == scenarios.DEFAULT_TIMEOUT_MS
+
+
 def test_server_subprocess_lifecycle(tmp_path):
     """Start the daemon, run a scenario against it, terminate, exit 0."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -361,16 +404,12 @@ def test_server_subprocess_lifecycle(tmp_path):
     port = sock.getsockname()[1]
     sock.close()
     config_path = write_demo_fixtures(tmp_path, port=port)
-    # the daemon imports the ctxradius this test imported, installed or not
-    src = str(Path(ctxradius.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
 
     with subprocess.Popen(
             [sys.executable, "-c",
              "import sys; from ctxradius.cli import main; sys.exit(main(sys.argv[1:]))",
              "serve", "--config", str(config_path)],
-            stderr=subprocess.PIPE, text=True, env=env) as proc:
+            stderr=subprocess.PIPE, text=True, env=child_env()) as proc:
         try:
             deadline = time.monotonic() + 5
             transcript = None

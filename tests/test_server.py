@@ -439,6 +439,23 @@ def test_non_ascii_otp_counts_as_a_wrong_otp(tmp_path):
     assert leg("\u00e9\u00e9", 11, bytes(16)) == ["reject", ALICE, "UnknownChallenge"]
 
 
+def test_challenge_table_dropped_with_its_last_challenge(server):
+    """A user's challenge table goes when its last challenge is answered or
+    spends its last attempt, so the store keeps no table for that user."""
+    _, state = challenged(server)
+    attempts = server.config.auth_policy.otp_max_attempts
+    for identifier in range(2, 2 + attempts):
+        assert ALICE in server.auth._challenges
+        assert handle(server, root_leg(identifier, "wrong", state)).code is REJECT
+    assert ALICE not in server.auth._challenges
+
+    state = handle(server, root_leg(10)).first(wire.STATE)
+    otp = latest_otp(server.config.delivery_log_path, "sms:alice")
+    assert ALICE in server.auth._challenges
+    assert handle(server, root_leg(11, otp, state)).code is ACCEPT
+    assert ALICE not in server.auth._challenges
+
+
 # The 2x2 matrix on every request, sessions included.  Sessions are set up
 # and probed an hour before the working day ends, inside the session TTL, so
 # the out-of-hours probe still finds the session live.
@@ -765,6 +782,10 @@ def test_dedup_window_must_be_a_positive_number(tmp_path, window):
     ("otp", "ttl_seconds", float("nan"), "otp_ttl_seconds"),
     ("session", "ttl_seconds", -5, "session_ttl_seconds"),
     ("session", "ttl_seconds", float("inf"), "session_ttl_seconds"),
+    # below one microsecond a duration would round to 0 on the clock
+    ("otp", "ttl_seconds", 1e-7, "otp_ttl_seconds"),
+    ("session", "ttl_seconds", 5e-7, "session_ttl_seconds"),
+    (None, "dedup_window_seconds", 1e-7, "dedup_window_seconds"),
     (None, "port", "1812", "port"),
     (None, "port", 70000, "port"),
     (None, "port", -1, "port"),
@@ -787,11 +808,15 @@ def test_policy_and_port_bounds_are_inclusive(tmp_path):
     config_path = write_demo_fixtures(tmp_path, port=0)
     raw = json.loads(config_path.read_text())
     raw["port"] = 65535
-    raw["otp"] = {"digits": wire.MAX_PASSWORD_LEN, "max_attempts": 1, "ttl_seconds": 0.5}
+    raw["dedup_window_seconds"] = 1e-6
+    raw["otp"] = {"digits": wire.MAX_PASSWORD_LEN, "max_attempts": 1, "ttl_seconds": 1e-6}
+    raw["session"] = {"ttl_seconds": 1e-6}
     config_path.write_text(json.dumps(raw))
     config = load_server_config(config_path)
     assert config.port == 65535
     assert config.auth_policy.otp_digits == wire.MAX_PASSWORD_LEN
+    assert config.auth_policy.session_ttl_seconds == 1e-6
+    assert Server(config)._dedup_window_us == 1
 
 
 @pytest.mark.parametrize("malform, name", [
