@@ -29,7 +29,6 @@ import math
 import os
 import secrets
 import weakref
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
 from typing import NamedTuple
@@ -70,8 +69,7 @@ class RejectReason(Enum):
     CHALLENGE_FLOOD = "ChallengeFloodLimit"
 
 
-@dataclass(frozen=True)
-class AuthDecision:
+class AuthDecision(NamedTuple):
     outcome: Outcome
     granted_role: Role | None = None
     state_token: bytes | None = None
@@ -217,19 +215,24 @@ def verify_first_factor(username: str, password: bytes, store: UserStore) -> boo
     return hmac.compare_digest(candidate, record.password_digest)
 
 
-@dataclass(slots=True)
 class OtpChallenge:
-    otp_value: str
-    expires_at: int
-    attempts_remaining: int
-    role: Role
+    __slots__ = ("otp_value", "expires_at", "attempts_remaining", "role")
+
+    def __init__(self, otp_value: str, expires_at: int, attempts_remaining: int,
+                 role: Role) -> None:
+        self.otp_value = otp_value
+        self.expires_at = expires_at
+        self.attempts_remaining = attempts_remaining
+        self.role = role
 
 
-@dataclass(slots=True)
 class Session:
-    granted_role: Role
-    factors_verified: int
-    expires_at: int
+    __slots__ = ("granted_role", "factors_verified", "expires_at")
+
+    def __init__(self, granted_role: Role, factors_verified: int, expires_at: int) -> None:
+        self.granted_role = granted_role
+        self.factors_verified = factors_verified
+        self.expires_at = expires_at
 
 
 class DeliveryLog:
@@ -260,23 +263,29 @@ def latest_otp(path: str | Path, channel: str) -> str | None:
     return newest
 
 
-@dataclass(frozen=True)
 class AuthPolicy:
     """Tunable hygiene limits; defaults are conventional OTP practice."""
 
-    otp_ttl_seconds: int = 120
-    otp_max_attempts: int = 3
-    otp_digits: int = 6
-    session_ttl_seconds: int = 8 * 3600
+    __slots__ = ("otp_ttl_seconds", "otp_max_attempts", "otp_digits", "session_ttl_seconds")
 
-    def __post_init__(self) -> None:
-        require_duration("otp_ttl_seconds", self.otp_ttl_seconds)
-        require_duration("session_ttl_seconds", self.session_ttl_seconds)
-        require_number("otp_max_attempts", self.otp_max_attempts, (int,), 1, math.inf,
+    def __init__(self, otp_ttl_seconds: int = 120, otp_max_attempts: int = 3,
+                 otp_digits: int = 6, session_ttl_seconds: int = 8 * 3600) -> None:
+        require_duration("otp_ttl_seconds", otp_ttl_seconds)
+        require_duration("session_ttl_seconds", session_ttl_seconds)
+        require_number("otp_max_attempts", otp_max_attempts, (int,), 1, math.inf,
                        "a positive int")
         # the OTP travels in User-Password
-        require_number("otp_digits", self.otp_digits, (int,), 1, MAX_PASSWORD_LEN + 1,
+        require_number("otp_digits", otp_digits, (int,), 1, MAX_PASSWORD_LEN + 1,
                        f"an int from 1 to {MAX_PASSWORD_LEN}")
+        self.otp_ttl_seconds = otp_ttl_seconds
+        self.otp_max_attempts = otp_max_attempts
+        self.otp_digits = otp_digits
+        self.session_ttl_seconds = session_ttl_seconds
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not AuthPolicy:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 class Authenticator:

@@ -2,14 +2,13 @@
 
 `evaluate_plausibility` judges a request's instant and source address
 against the configured working hours and trusted networks.  Both checks are
-pure and deterministic, and the answer is one of four shared, frozen
-verdicts.  An instant is integer microseconds since the epoch, by `stamp`.
+pure and deterministic, and the answer is one of four shared verdicts.  An
+instant is integer microseconds since the epoch, by `stamp`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from ipaddress import IPv4Address, IPv4Network
@@ -74,7 +73,6 @@ class ImplausibilityReason(Enum):
     OFF_SITE = "OffSite"
 
 
-@dataclass(frozen=True)
 class ContextConfig:
     """Working-hours window and trusted source networks.
 
@@ -85,28 +83,33 @@ class ContextConfig:
     Overnight windows (end <= start) are rejected.
     """
 
-    working_days: frozenset[int]
-    day_start: int
-    day_end: int
-    utc_offset: int
-    trusted_networks: tuple[IPv4Network, ...]
+    __slots__ = ("working_days", "day_start", "day_end", "utc_offset", "trusted_networks")
 
-    def __post_init__(self) -> None:
-        if not self.working_days:
+    def __init__(self, working_days: frozenset[int], day_start: int, day_end: int,
+                 utc_offset: int, trusted_networks: tuple[IPv4Network, ...]) -> None:
+        if not working_days:
             raise ConfigError("working_days must not be empty")
-        if not all(0 <= d <= 6 for d in self.working_days):
+        if not all(0 <= d <= 6 for d in working_days):
             raise ConfigError("working_days entries must be 0 (Monday) to 6 (Sunday)")
-        if self.day_start >= self.day_end:
+        if day_start >= day_end:
             raise ConfigError("day_start must be strictly before day_end")
-        if not self.trusted_networks:
+        if not trusted_networks:
             raise ConfigError("at least one trusted network is required")
+        self.working_days = working_days
+        self.day_start = day_start
+        self.day_end = day_end
+        self.utc_offset = utc_offset
+        self.trusted_networks = trusted_networks
 
     @classmethod
     def from_dict(cls, raw: dict) -> ContextConfig:
-        """Build from config-file keys: weekday names, "HH:MM" times,
-        "+HH:MM" offset, "a.b.c.d/len" networks; another key is a TypeError
-        and a missing one a KeyError naming it."""
+        """Build from config-file keys: a list of weekday names, "HH:MM"
+        times, "+HH:MM" offset, a list of "a.b.c.d/len" networks; another
+        key is a TypeError and a missing one a KeyError naming it."""
         raw = {**raw}
+        for key in ("working_days", "trusted_networks"):
+            if not isinstance(raw.get(key, []), list):
+                raise ConfigError(f"{key} must be a JSON list, got {raw[key]!r}")
         names = raw.pop("working_days")
         try:
             days = frozenset(WEEKDAYS[d.lower()] for d in names)
@@ -123,18 +126,18 @@ class ContextConfig:
         )
 
 
-@dataclass(frozen=True)
 class ContextVerdict:
-    plausible: bool
-    reasons: frozenset[ImplausibilityReason]
+    __slots__ = ("plausible", "reasons")
 
-    def __post_init__(self) -> None:
-        if self.plausible != (not self.reasons):
+    def __init__(self, plausible: bool, reasons: frozenset[ImplausibilityReason]) -> None:
+        if plausible != (not reasons):
             raise ValueError("plausible verdicts carry no reasons and vice versa")
+        self.plausible = plausible
+        self.reasons = reasons
 
 
-# The four verdicts, by (in working hours, on site).  They are frozen, so
-# every request shares them.
+# The four verdicts, by (in working hours, on site).  Nothing changes a
+# verdict, so every request shares them.
 _OUTSIDE_HOURS = ImplausibilityReason.OUTSIDE_WORKING_HOURS
 _OFF_SITE = ImplausibilityReason.OFF_SITE
 _VERDICTS = {

@@ -24,7 +24,6 @@ import socket
 import struct
 import sys
 import threading
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from ipaddress import IPv4Address, IPv4Network
 from pathlib import Path
@@ -72,40 +71,45 @@ class ServerStartupError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class ClientEntry:
     """A peer allowed to talk to the server, with its shared secret."""
 
-    network: IPv4Network
-    shared_secret: bytes
+    __slots__ = ("network", "shared_secret")
 
-    def __post_init__(self) -> None:
-        if not self.shared_secret:
+    def __init__(self, network: IPv4Network, shared_secret: bytes) -> None:
+        if not shared_secret:
             raise ConfigError("client shared secret must not be empty")
+        self.network = network
+        self.shared_secret = shared_secret
 
 
-@dataclass(frozen=True)
 class ServerConfig:
-    context: ContextConfig
-    clients: tuple[ClientEntry, ...]
-    user_store_path: Path
-    delivery_log_path: Path
-    bind_address: str = "127.0.0.1"
-    port: int = 1812
-    auth_policy: AuthPolicy = field(default_factory=AuthPolicy)
-    dedup_window_seconds: int = 30
-    clock_override: datetime | None = None
+    __slots__ = ("context", "clients", "user_store_path", "delivery_log_path", "bind_address",
+                 "port", "auth_policy", "dedup_window_seconds", "clock_override")
 
-    def __post_init__(self) -> None:
-        if not self.clients:
+    def __init__(self, context: ContextConfig, clients: tuple[ClientEntry, ...],
+                 user_store_path: Path, delivery_log_path: Path,
+                 bind_address: str = "127.0.0.1", port: int = 1812,
+                 auth_policy: AuthPolicy | None = None, dedup_window_seconds: int = 30,
+                 clock_override: datetime | None = None) -> None:
+        if not clients:
             raise ConfigError("at least one client entry is required")
-        if not isinstance(self.bind_address, str):
-            raise ConfigError(f"bind_address must be a str, got {self.bind_address!r}")
-        require_duration("dedup_window_seconds", self.dedup_window_seconds)
-        require_number("port", self.port, (int,), 0, 65536, "an int from 0 to 65535")
-        if self.clock_override is not None and self.clock_override.tzinfo is None:
+        if not isinstance(bind_address, str):
+            raise ConfigError(f"bind_address must be a str, got {bind_address!r}")
+        require_duration("dedup_window_seconds", dedup_window_seconds)
+        require_number("port", port, (int,), 0, 65536, "an int from 0 to 65535")
+        if clock_override is not None and clock_override.tzinfo is None:
             raise ConfigError(
-                f"clock_override needs a UTC offset, got {self.clock_override.isoformat()!r}")
+                f"clock_override needs a UTC offset, got {clock_override.isoformat()!r}")
+        self.context = context
+        self.clients = clients
+        self.user_store_path = user_store_path
+        self.delivery_log_path = delivery_log_path
+        self.bind_address = bind_address
+        self.port = port
+        self.auth_policy = AuthPolicy() if auth_policy is None else auth_policy
+        self.dedup_window_seconds = dedup_window_seconds
+        self.clock_override = clock_override
 
 
 def load_server_config(path: str | Path) -> ServerConfig:

@@ -11,7 +11,6 @@ import hashlib
 import hmac
 import secrets
 import struct
-from dataclasses import dataclass, field
 from enum import IntEnum
 
 HEADER_LEN = 20
@@ -79,41 +78,49 @@ def _chain(data: bytes, secret: bytes, ra: bytes, hiding: bool) -> bytes:
     return b"".join(out)
 
 
-@dataclass(frozen=True)
 class Attribute:
     """One type-length-value attribute; unknown types are carried opaquely."""
 
-    attr_type: int
-    value: bytes
+    __slots__ = ("attr_type", "value")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.attr_type <= 255:
-            raise WireError(f"attribute type {self.attr_type} outside 1-255")
-        if len(self.value) > MAX_ATTR_VALUE_LEN:
+    def __init__(self, attr_type: int, value: bytes) -> None:
+        if not 1 <= attr_type <= 255:
+            raise WireError(f"attribute type {attr_type} outside 1-255")
+        if len(value) > MAX_ATTR_VALUE_LEN:
             raise WireError(
-                f"attribute value is {len(self.value)} octets, maximum is {MAX_ATTR_VALUE_LEN}"
-            )
+                f"attribute value is {len(value)} octets, maximum is {MAX_ATTR_VALUE_LEN}")
+        self.attr_type = attr_type
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Attribute:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
-@dataclass(frozen=True)
 class Packet:
     """One protocol message: header fields plus an ordered attribute list."""
 
-    code: PacketCode
-    identifier: int
-    authenticator: bytes
-    attributes: tuple[Attribute, ...] = field(default_factory=tuple)
+    __slots__ = ("code", "identifier", "authenticator", "attributes")
 
-    def __post_init__(self) -> None:
+    def __init__(self, code: PacketCode, identifier: int, authenticator: bytes,
+                 attributes: tuple[Attribute, ...] = ()) -> None:
         try:
-            object.__setattr__(self, "code", PacketCode(self.code))
+            self.code = PacketCode(code)
         except ValueError:
-            raise WireError(f"packet code {self.code} is not a known code") from None
-        if not 0 <= self.identifier <= 255:
-            raise WireError(f"identifier {self.identifier} outside 0-255")
-        if len(self.authenticator) != 16:
+            raise WireError(f"packet code {code} is not a known code") from None
+        if not 0 <= identifier <= 255:
+            raise WireError(f"identifier {identifier} outside 0-255")
+        if len(authenticator) != 16:
             raise WireError("authenticator must be exactly 16 octets")
-        object.__setattr__(self, "attributes", tuple(self.attributes))
+        self.identifier = identifier
+        self.authenticator = authenticator
+        self.attributes = tuple(attributes)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Packet:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def first(self, attr_type: int) -> bytes | None:
         """Value of the first attribute of the given type, or None."""

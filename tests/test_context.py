@@ -124,6 +124,22 @@ def test_from_dict_names_a_missing_working_days():
         ContextConfig.from_dict(raw)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("working_days", {"monday": "x", "friday": 0}),
+    ("working_days", "monday"),
+    ("trusted_networks", {"10.0.0.0/8": False}),
+    ("trusted_networks", "10.0.0.0/8"),
+], ids=["working_days-object", "working_days-string", "trusted_networks-object",
+        "trusted_networks-string"])
+def test_from_dict_requires_a_list(key, value):
+    """An object would be read as its keys, and a string as its characters."""
+    raw = {"working_days": ["monday"], "day_start": "08:00", "day_end": "17:00",
+           "timezone": "+00:00", "trusted_networks": ["10.0.0.0/8"], key: value}
+    with pytest.raises(ConfigError) as info:
+        ContextConfig.from_dict(raw)
+    assert str(info.value) == f"{key} must be a JSON list, got {value!r}"
+
+
 @pytest.mark.parametrize("text", ["utc", "+2:00", "+0200", "+aa:bb", "+-5:00", "+05:99",
                                   "+ 5:00", "+24:00", "+0\u0668:00", "05:00", "+05:00\n"])
 def test_bad_offset_rejected(text):

@@ -258,6 +258,8 @@ def test_cli_serve_startup_failure_exits_nonzero(tmp_path, capsys):
     lambda raw: raw.update(dedup_window_seconds=1e-7),
     lambda raw: raw["session"].update(ttl_seconds=1e-7),
     lambda raw: raw["otp"].update(ttl_seconds=1e-7),
+    lambda raw: raw["context"].update(working_days={"monday": "x", "friday": 0}),
+    lambda raw: raw["context"].update(trusted_networks={"10.0.0.0/8": False}),
 ], ids=["bind_address", "clock_override", "timezone", "clients-object", "client-string",
         "secret_hex", "user_store_path", "client-int-address", "trusted-int-network",
         "unknown-top-level-key", "unknown-otp-key", "unknown-session-key",
@@ -265,7 +267,8 @@ def test_cli_serve_startup_failure_exits_nonzero(tmp_path, capsys):
         "missing-user-store-path", "missing-client-address", "clock_override-naive",
         "timezone-two-signs", "day_start-one-digit", "nested-too-deeply",
         "dedup-window-1e308", "session-ttl-1e308", "otp-ttl-1e308",
-        "dedup-window-1e-7", "session-ttl-1e-7", "otp-ttl-1e-7"])
+        "dedup-window-1e-7", "session-ttl-1e-7", "otp-ttl-1e-7",
+        "working_days-object", "trusted_networks-object"])
 def test_cli_serve_malformed_config_exits_nonzero(tmp_path, capsys, monkeypatch, malform):
     """A value of the wrong JSON type fails at load with one line, not a traceback.
     A case that returns bytes replaces the whole file with them."""
@@ -385,10 +388,12 @@ def child_env() -> dict[str, str]:
 
 
 def test_serve_does_not_import_the_scenario_client():
-    """The daemon's start-up pays nothing for the replay client."""
+    """The daemon's start-up pays nothing for the replay client, nor for
+    `dataclasses` and the modules it imports."""
     probe = ("import sys; from ctxradius.cli import build_parser; "
              "build_parser().parse_args(['serve', '--config', 'x']); "
-             "sys.exit('ctxradius.scenarios' in sys.modules)")
+             "sys.exit(sorted({'ctxradius.scenarios', 'dataclasses', 'inspect', 'ast', 'dis', "
+             "'tokenize'} & sys.modules.keys()) or None)")
     subprocess.run([sys.executable, "-c", probe], env=child_env(), check=True, timeout=60)
 
 

@@ -24,13 +24,20 @@ from ctxradius.auth import (
     UserStore,
     latest_otp,
 )
-from ctxradius.context import ConfigError, ImplausibilityReason, evaluate_plausibility, stamp
+from ctxradius.context import (
+    ConfigError,
+    ContextConfig,
+    ImplausibilityReason,
+    evaluate_plausibility,
+    stamp,
+)
 from ctxradius.scenarios import DEMO_SECRET, DEMO_USERS, write_demo_fixtures
 from ctxradius.server import (
     ROLE_NAMES,
     ClientEntry,
     EventLog,
     Server,
+    ServerConfig,
     ServerStartupError,
     load_server_config,
 )
@@ -632,15 +639,17 @@ def test_int_address_placed_as_ipaddress_places_it(tmp_path, network):
     """`_client_for` and `evaluate_plausibility` place an int address as
     `ipaddress` places the IPv4Address: at a network's first and last
     address, and at the addresses just outside it."""
-    import dataclasses
     from ipaddress import IPv4Network
 
     network = IPv4Network(network)
     config = load_server_config(write_demo_fixtures(tmp_path, port=0))
     entry = ClientEntry(network, DEMO_SECRET)
-    server = Server(dataclasses.replace(config, clients=(entry,)),
+    server = Server(ServerConfig(config.context, (entry,), config.user_store_path,
+                                 config.delivery_log_path, clock_override=config.clock_override),
                     EventLog(stream=io.StringIO()))
-    context = dataclasses.replace(config.context, trusted_networks=(network,))
+    demo = config.context
+    context = ContextConfig(demo.working_days, demo.day_start, demo.day_end, demo.utc_offset,
+                            (network,))
     first, last = int(network.network_address), int(network.broadcast_address)
     for value in (first, last, (first - 1) % 2**32, (last + 1) % 2**32):
         address = IPv4Address(value)
