@@ -125,21 +125,6 @@ def _entry_record(entry: dict) -> UserRecord:
     return tuple.__new__(UserRecord, (name, salt, digest, channel))
 
 
-def _record_or_object(obj: dict) -> UserRecord | dict:
-    """The decoder's hook: each JSON object as its record, or unchanged if
-    it is not a valid entry."""
-    try:
-        return _entry_record(obj)
-    except (TypeError, ValueError):
-        return obj
-
-
-def _as_read(value: object) -> object:
-    """`value` with a record the hook made from a nested object standing for
-    that object again, so that a message names the type the file holds."""
-    return {} if type(value) is UserRecord else value
-
-
 class UserStore:
     """Read-only map of usernames to records, loaded once at startup."""
 
@@ -160,28 +145,40 @@ class UserStore:
         exactly 32, and no username repeats.  Any
         fault is a ValueError naming the entry, or the store if too deep.
 
-        Each object is checked as the decoder builds it and a valid entry
-        becomes its record at once, so a load never holds the file's
-        objects beside the records.
+        Each object becomes its record as the decoder builds it, so a load
+        never holds the file's objects beside the records.  The first
+        object that is no valid entry stops the decode; the file is then
+        read again as plain JSON, so that the fault is named in entry order.
         """
+        store = cls()
+        records = store._records
         with open(path, encoding="utf-8") as fh:
             try:
-                raw = json.load(fh, object_hook=_record_or_object)
+                decoded = json.load(fh, object_hook=_entry_record)
+            except (RecursionError, TypeError, ValueError):
+                decoded = None
+        if type(decoded) is list:
+            for record in decoded:
+                if type(record) is not UserRecord or record.username in records:
+                    break
+                records[record.username] = record
+            else:
+                return store
+            records.clear()
+        with open(path, encoding="utf-8") as fh:
+            try:
+                raw = json.load(fh)
             except RecursionError:
                 raise ValueError(f"{path}: JSON nested too deeply") from None
         if not isinstance(raw, list):
-            raise ValueError(
-                f"must be a JSON list of objects, got {type(_as_read(raw)).__name__}")
-        store = cls()
-        records = store._records
-        for index, record in enumerate(raw):
-            if type(record) is not UserRecord:
-                try:
-                    if not isinstance(record, dict):
-                        raise ValueError(f"must be an object, got {type(record).__name__}")
-                    record = _entry_record({k: _as_read(v) for k, v in record.items()})
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"entry {index}: {exc}") from None
+            raise ValueError(f"must be a JSON list of objects, got {type(raw).__name__}")
+        for index, entry in enumerate(raw):
+            try:
+                if not isinstance(entry, dict):
+                    raise ValueError(f"must be an object, got {type(entry).__name__}")
+                record = _entry_record(entry)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"entry {index}: {exc}") from None
             if record.username in records:
                 raise ValueError(f"entry {index}: duplicate username {record.username!r}")
             records[record.username] = record

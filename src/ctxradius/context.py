@@ -57,13 +57,33 @@ def require_duration(name: str, value: object) -> None:
                    f"a number from {MIN_DURATION_SECONDS} to below {MAX_DURATION_SECONDS}")
 
 
+def require_string(name: str, value: object) -> str:
+    """`value`, unless it is not a JSON string: then ConfigError names `name`."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def require_list(name: str, value: object) -> list:
+    """`value`, unless it is not a JSON list: then ConfigError names `name`."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a JSON list, got {value!r}")
+    return value
+
+
+def require_object(name: str, value: object) -> dict:
+    """`value`, unless it is not a JSON object: then ConfigError names `name`."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 def require_network(name: str, value: object, strict: bool = True) -> IPv4Network:
     """`value`, a JSON string "a.b.c.d/len", as a network; ConfigError names
     `name` for any other type or a bad string.  `strict` forbids host bits."""
-    if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {value!r}")
+    text = require_string(name, value)
     try:
-        return IPv4Network(value, strict=strict)
+        return IPv4Network(text, strict=strict)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
@@ -104,22 +124,28 @@ class ContextConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> ContextConfig:
         """Build from config-file keys: a list of weekday names, "HH:MM"
-        times, "+HH:MM" offset, a list of "a.b.c.d/len" networks; another
-        key is a TypeError and a missing one a KeyError naming it."""
+        times, "+HH:MM" offset, a list of "a.b.c.d/len" networks.  A bad
+        value is a ConfigError naming its key; another key is a TypeError
+        and a missing one a KeyError naming it."""
         raw = {**raw}
         for key in ("working_days", "trusted_networks"):
-            if not isinstance(raw.get(key, []), list):
-                raise ConfigError(f"{key} must be a JSON list, got {raw[key]!r}")
+            require_list(key, raw.get(key, []))
         names = raw.pop("working_days")
-        try:
-            days = frozenset(WEEKDAYS[d.lower()] for d in names)
-        except KeyError as exc:
-            raise ConfigError(f"unknown weekday name {exc}") from None
+        for name in names:
+            if not isinstance(name, str) or name.lower() not in WEEKDAYS:
+                raise ConfigError(f"working_days entries must be weekday names, got {name!r}")
+
+        def clock(key: str) -> int:
+            try:
+                return parse_clock(raw.pop(key), signed=key == "timezone")
+            except ConfigError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+
         return cls(
-            working_days=days,
-            day_start=parse_clock(raw.pop("day_start")),
-            day_end=parse_clock(raw.pop("day_end")),
-            utc_offset=parse_clock(raw.pop("timezone"), signed=True),
+            working_days=frozenset(WEEKDAYS[name.lower()] for name in names),
+            day_start=clock("day_start"),
+            day_end=clock("day_end"),
+            utc_offset=clock("timezone"),
             trusted_networks=tuple(require_network("trusted_networks entry", n)
                                    for n in raw.pop("trusted_networks")),
             **raw,

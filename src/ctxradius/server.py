@@ -45,8 +45,11 @@ from .context import (
     ContextConfig,
     evaluate_plausibility,
     require_duration,
+    require_list,
     require_network,
     require_number,
+    require_object,
+    require_string,
     stamp,
 )
 from .policy import RequestedAction
@@ -116,9 +119,8 @@ def load_server_config(path: str | Path) -> ServerConfig:
     """Parse the JSON config file; relative paths are anchored at the file.
 
     Keys under "otp" and "session" set the `otp_` and `session_` fields.
-    An unknown or missing key, or a value of a JSON type the parser cannot
-    use, raises ConfigError, not the TypeError, KeyError or AttributeError
-    it caused.
+    An unknown or missing key, or a value of the wrong JSON type, raises a
+    ConfigError that names the key.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -127,29 +129,41 @@ def load_server_config(path: str | Path) -> ServerConfig:
         except RecursionError:
             raise ConfigError(f"malformed config {path}: JSON nested too deeply") from None
 
+    if not isinstance(raw, dict):
+        raise ConfigError(
+            f"malformed config {path}: must be a JSON object, got {type(raw).__name__}")
     base = path.parent
     try:
         raw = {**raw}
         clients = []
-        for entry in raw.pop("clients", ()):
-            entry = {**entry}
+        for entry in require_list("clients", raw.pop("clients", [])):
+            entry = {**require_object("clients entry", entry)}
             network = require_network("client address", entry.pop("address"), strict=False)
+            secret_hex = require_string("secret_hex", entry.pop("secret_hex"))
             try:
-                secret = bytes.fromhex(entry.pop("secret_hex"))
+                secret = bytes.fromhex(secret_hex)
             except ValueError as exc:
                 raise ConfigError(f"secret_hex: {exc}") from None
             clients.append(ClientEntry(network, secret, **entry))
-        policy = AuthPolicy(**{f"otp_{k}": v for k, v in raw.pop("otp", {}).items()},
-                            **{f"session_{k}": v for k, v in raw.pop("session", {}).items()})
+        otp = require_object("otp", raw.pop("otp", {}))
+        session = require_object("session", raw.pop("session", {}))
+        policy = AuthPolicy(**{f"otp_{k}": v for k, v in otp.items()},
+                            **{f"session_{k}": v for k, v in session.items()})
         override = raw.pop("clock_override", None)
-        context = ContextConfig.from_dict(raw.pop("context"))
-        user_store_path = base / raw.pop("user_store_path")
-        delivery_log_path = base / raw.pop("delivery_log_path")
+        if override is not None:
+            text = require_string("clock_override", override)
+            try:
+                override = datetime.fromisoformat(text)
+            except ValueError as exc:
+                raise ConfigError(f"clock_override: {exc}") from None
+        context = ContextConfig.from_dict(require_object("context", raw.pop("context")))
+        user_store_path = base / require_string("user_store_path", raw.pop("user_store_path"))
+        delivery_log_path = base / require_string("delivery_log_path",
+                                                  raw.pop("delivery_log_path"))
         return ServerConfig(context, tuple(clients), user_store_path, delivery_log_path,
-                            auth_policy=policy,
-                            clock_override=datetime.fromisoformat(override) if override else None,
-                            **raw)
-    except (TypeError, AttributeError) as exc:
+                            auth_policy=policy, clock_override=override, **raw)
+    except TypeError as exc:
+        # only an unknown keyword at a constructor, whose message names it
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"malformed config {path}: missing key {exc}") from exc

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 import threading
 import tracemalloc
 from datetime import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxradius import auth as auth_module
 from ctxradius import wire
@@ -22,6 +26,7 @@ from ctxradius.auth import (
 )
 from ctxradius.context import ContextVerdict, ImplausibilityReason, stamp
 from ctxradius.policy import RequestedAction
+from store_oracle import expected_load
 from test_server import (
     ACCEPT,
     ALICE,
@@ -131,6 +136,88 @@ def test_user_store_load_peaks_near_what_it_keeps(tmp_path):
         tracemalloc.stop()
     assert store.get("user-001999") is not None
     assert peak - base <= 1.8 * (kept - base)
+
+
+def weighted(*choices: tuple[int, st.SearchStrategy]) -> st.SearchStrategy:
+    """Draw from one of the strategies, each as often as its weight says."""
+    return st.sampled_from([s for weight, s in choices for _ in range(weight)]).flatmap(
+        lambda strategy: strategy)
+
+
+# A small pool of names, so that draws repeat usernames.
+VALID_ENTRIES = st.builds(
+    lambda name, salt, channel: {"username": name, "salt": salt.hex(),
+                                 "digest": hashlib.sha256(salt).hexdigest(),
+                                 "otp_channel": channel},
+    st.sampled_from(["alice", "bob", "carol", "dave", "eve", "\u00e9" * 126 + "x"]),
+    st.binary(min_size=16, max_size=18), st.sampled_from(["sms:a", "mail:b"]))
+JUNK = (st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+        | st.lists(st.integers(), max_size=2) | st.just({}))
+
+
+@st.composite
+def faulty_entries(draw) -> dict:
+    """A valid entry with one fault: a value of the wrong type, an
+    entry-shaped object or a list of one as a value, a missing or an extra
+    key, a bad username, a salt or digest of the wrong length, or a bad
+    channel."""
+    entry = draw(VALID_ENTRIES)
+    key = draw(st.sampled_from(sorted(entry)))
+    fault = draw(st.sampled_from(["type", "nested", "nested-list", "missing", "extra",
+                                  "username", "length", "channel"]))
+    if fault == "type":
+        entry[key] = draw(JUNK)
+    elif fault == "nested":
+        entry[key] = draw(VALID_ENTRIES)
+    elif fault == "nested-list":
+        entry[key] = [draw(VALID_ENTRIES)]
+    elif fault == "missing":
+        del entry[key]
+    elif fault == "extra":
+        entry[draw(st.sampled_from(["extra", "Username"]))] = draw(JUNK | VALID_ENTRIES)
+    elif fault == "username":
+        entry["username"] = draw(st.sampled_from(["", "\ud800", "\u00e9" * 127]))
+    elif fault == "length":
+        entry[draw(st.sampled_from(["salt", "digest"]))] = draw(st.binary(max_size=40)).hex()
+    else:
+        entry["otp_channel"] = draw(st.sampled_from(["", "sms:a\tb", "\n"]))
+    return entry
+
+
+ITEMS = weighted((8, VALID_ENTRIES), (3, faulty_entries()), (1, JUNK),
+                 (1, st.lists(VALID_ENTRIES, max_size=1)),
+                 (1, st.fixed_dictionaries({"username": VALID_ENTRIES})))
+STORES = weighted((12, st.lists(ITEMS, max_size=6)), (1, VALID_ENTRIES), (1, faulty_entries()),
+                  (1, JUNK), (1, st.dictionaries(st.sampled_from(["users", "alice"]),
+                                                 st.lists(VALID_ENTRIES, max_size=2),
+                                                 max_size=2)))
+
+
+def test_user_store_load_agrees_with_an_independent_oracle(tmp_path):
+    """`UserStore.load` keeps what `store_oracle` says a store holds, or
+    names the entry or the top-level form the oracle finds first at fault.
+    The draws nest entry-shaped objects as values and as whole files."""
+    path = tmp_path / "users.json"
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(STORES)
+    def check(store):
+        text = json.dumps(store)
+        path.write_text(text, encoding="utf-8")
+        kind, detail = expected_load(text)
+        try:
+            loaded = UserStore.load(path)
+        except ValueError as exc:
+            if kind == "entry":
+                assert str(exc).startswith(f"entry {detail}: ")
+            else:
+                assert kind == "top", f"a valid store failed: {exc}"
+                assert str(exc) == f"must be a JSON list of objects, got {detail}"
+        else:
+            assert kind == "ok"
+            assert sorted(loaded._records.values()) == detail
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,15 @@ def test_from_dict_requires_a_list(key, value):
     assert str(info.value) == f"{key} must be a JSON list, got {value!r}"
 
 
+@pytest.mark.parametrize("entry", [1, None])
+def test_from_dict_names_a_working_day_that_is_not_a_string(entry):
+    raw = {"working_days": [entry], "day_start": "08:00", "day_end": "17:00",
+           "timezone": "+00:00", "trusted_networks": ["10.0.0.0/8"]}
+    with pytest.raises(ConfigError) as info:
+        ContextConfig.from_dict(raw)
+    assert str(info.value) == f"working_days entries must be weekday names, got {entry!r}"
+
+
 @pytest.mark.parametrize("text", ["utc", "+2:00", "+0200", "+aa:bb", "+-5:00", "+05:99",
                                   "+ 5:00", "+24:00", "+0\u0668:00", "05:00", "+05:00\n"])
 def test_bad_offset_rejected(text):

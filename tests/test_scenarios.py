@@ -230,36 +230,54 @@ def test_cli_serve_startup_failure_exits_nonzero(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("malform", [
-    lambda raw: raw.update(bind_address=127),
-    lambda raw: raw.update(clock_override=123),
-    lambda raw: raw["context"].update(timezone=5),
-    lambda raw: raw.update(clients={"nas": raw["clients"][0]}),
-    lambda raw: raw.update(clients=["127.0.0.0/8"]),
-    lambda raw: raw["clients"][0].update(secret_hex=5),
-    lambda raw: raw.update(user_store_path=5),
-    lambda raw: raw["clients"][0].update(address=2130706433),
-    lambda raw: raw["context"].update(trusted_networks=[5]),
-    lambda raw: raw.update(dedup_window_second=60),
-    lambda raw: raw["otp"].update(max_attempt=10),
-    lambda raw: raw["session"].update(ttl=60),
-    lambda raw: raw["clients"][0].update(require_message_authenticator=True),
-    lambda raw: raw["context"].update(trusted_network=["10.0.0.0/8"]),
-    lambda raw: raw["clients"][0].update(secret_hex="64656d6f2d..."),
-    lambda raw: raw.pop("user_store_path"),
-    lambda raw: raw["clients"][0].pop("address"),
-    lambda raw: raw.update(clock_override="2026-08-04T10:00:00"),
-    lambda raw: raw["context"].update(timezone="+-5:00"),
-    lambda raw: raw["context"].update(day_start="8:00"),
-    lambda raw: b"[" * 100_000 + b"]" * 100_000,
-    lambda raw: raw.update(dedup_window_seconds=1e308),
-    lambda raw: raw["session"].update(ttl_seconds=1e308),
-    lambda raw: raw["otp"].update(ttl_seconds=1e308),
-    lambda raw: raw.update(dedup_window_seconds=1e-7),
-    lambda raw: raw["session"].update(ttl_seconds=1e-7),
-    lambda raw: raw["otp"].update(ttl_seconds=1e-7),
-    lambda raw: raw["context"].update(working_days={"monday": "x", "friday": 0}),
-    lambda raw: raw["context"].update(trusted_networks={"10.0.0.0/8": False}),
+@pytest.mark.parametrize("malform, key", [
+    (lambda raw: raw.update(bind_address=127), "bind_address"),
+    (lambda raw: raw.update(clock_override=123), "clock_override"),
+    (lambda raw: raw["context"].update(timezone=5), "timezone"),
+    (lambda raw: raw.update(clients={"nas": raw["clients"][0]}), "clients"),
+    (lambda raw: raw.update(clients=["127.0.0.0/8"]), "clients"),
+    (lambda raw: raw["clients"][0].update(secret_hex=5), "secret_hex"),
+    (lambda raw: raw.update(user_store_path=5), "user_store_path"),
+    (lambda raw: raw["clients"][0].update(address=2130706433), "address"),
+    (lambda raw: raw["context"].update(trusted_networks=[5]), "trusted_networks"),
+    (lambda raw: raw.update(dedup_window_second=60), "dedup_window_second"),
+    (lambda raw: raw["otp"].update(max_attempt=10), "max_attempt"),
+    (lambda raw: raw["session"].update(ttl=60), "ttl"),
+    (lambda raw: raw["clients"][0].update(require_message_authenticator=True),
+     "require_message_authenticator"),
+    (lambda raw: raw["context"].update(trusted_network=["10.0.0.0/8"]), "trusted_network"),
+    (lambda raw: raw["clients"][0].update(secret_hex="64656d6f2d..."), "secret_hex"),
+    (lambda raw: raw.pop("user_store_path"), "user_store_path"),
+    (lambda raw: raw["clients"][0].pop("address"), "address"),
+    (lambda raw: raw.update(clock_override="2026-08-04T10:00:00"), "clock_override"),
+    (lambda raw: raw["context"].update(timezone="+-5:00"), "timezone"),
+    (lambda raw: raw["context"].update(day_start="8:00"), "day_start"),
+    (lambda raw: b"[" * 100_000 + b"]" * 100_000, "config.json"),
+    (lambda raw: raw.update(dedup_window_seconds=1e308), "dedup_window_seconds"),
+    (lambda raw: raw["session"].update(ttl_seconds=1e308), "ttl_seconds"),
+    (lambda raw: raw["otp"].update(ttl_seconds=1e308), "ttl_seconds"),
+    (lambda raw: raw.update(dedup_window_seconds=1e-7), "dedup_window_seconds"),
+    (lambda raw: raw["session"].update(ttl_seconds=1e-7), "ttl_seconds"),
+    (lambda raw: raw["otp"].update(ttl_seconds=1e-7), "ttl_seconds"),
+    (lambda raw: raw["context"].update(working_days={"monday": "x", "friday": 0}),
+     "working_days"),
+    (lambda raw: raw["context"].update(trusted_networks={"10.0.0.0/8": False}),
+     "trusted_networks"),
+    (lambda raw: raw.update(clients=[5]), "clients"),
+    (lambda raw: raw.update(clients={"x": 1}), "clients"),
+    (lambda raw: raw.update(context=5), "context"),
+    (lambda raw: raw.update(otp=[]), "otp"),
+    (lambda raw: raw.update(session=5), "session"),
+    (lambda raw: raw.update(delivery_log_path=[]), "delivery_log_path"),
+    (lambda raw: raw["context"].update(working_days=[1]), "working_days"),
+    (lambda raw: raw["context"].update(working_days=[None]), "working_days"),
+    (lambda raw: raw.update(clock_override=""), "clock_override"),
+    (lambda raw: raw.update(clock_override=0), "clock_override"),
+    (lambda raw: raw.update(clock_override=False), "clock_override"),
+    (lambda raw: raw.update(clock_override=[]), "clock_override"),
+    (lambda raw: raw.update(clock_override={}), "clock_override"),
+    (lambda raw: raw.update(clock_override=5), "clock_override"),
+    (lambda raw: raw.update(clock_override="x"), "clock_override"),
 ], ids=["bind_address", "clock_override", "timezone", "clients-object", "client-string",
         "secret_hex", "user_store_path", "client-int-address", "trusted-int-network",
         "unknown-top-level-key", "unknown-otp-key", "unknown-session-key",
@@ -268,9 +286,15 @@ def test_cli_serve_startup_failure_exits_nonzero(tmp_path, capsys):
         "timezone-two-signs", "day_start-one-digit", "nested-too-deeply",
         "dedup-window-1e308", "session-ttl-1e308", "otp-ttl-1e308",
         "dedup-window-1e-7", "session-ttl-1e-7", "otp-ttl-1e-7",
-        "working_days-object", "trusted_networks-object"])
-def test_cli_serve_malformed_config_exits_nonzero(tmp_path, capsys, monkeypatch, malform):
-    """A value of the wrong JSON type fails at load with one line, not a traceback.
+        "working_days-object", "trusted_networks-object",
+        "clients-int-entry", "clients-object-int", "context-int", "otp-list", "session-int",
+        "delivery_log_path-list", "working_days-int-entry", "working_days-null-entry",
+        "clock_override-empty", "clock_override-zero", "clock_override-false",
+        "clock_override-list", "clock_override-object", "clock_override-5",
+        "clock_override-not-iso"])
+def test_cli_serve_malformed_config_exits_nonzero(tmp_path, capsys, monkeypatch, malform, key):
+    """A value of the wrong JSON type fails at load with one line, not a traceback,
+    and that line names the key (or, for a file too deep to parse, the file).
     A case that returns bytes replaces the whole file with them."""
     def loaded(config):
         raise AssertionError("config loaded")
@@ -286,6 +310,7 @@ def test_cli_serve_malformed_config_exits_nonzero(tmp_path, capsys, monkeypatch,
     assert code == 1
     assert err.count("server startup failed:") == 1
     assert "Traceback" not in err
+    assert key in err.replace(str(tmp_path), "")
 
 
 @pytest.mark.parametrize("malform, detail", [
