@@ -134,6 +134,10 @@ class ContextConfig:
         for name in names:
             if not isinstance(name, str) or name.lower() not in WEEKDAYS:
                 raise ConfigError(f"working_days entries must be weekday names, got {name!r}")
+        networks = tuple(require_network("trusted_networks entry", n)
+                         for n in raw.pop("trusted_networks"))
+        if not networks:
+            raise ConfigError("trusted_networks: at least one trusted network is required")
 
         def clock(key: str) -> int:
             try:
@@ -146,8 +150,7 @@ class ContextConfig:
             day_start=clock("day_start"),
             day_end=clock("day_end"),
             utc_offset=clock("timezone"),
-            trusted_networks=tuple(require_network("trusted_networks entry", n)
-                                   for n in raw.pop("trusted_networks")),
+            trusted_networks=networks,
             **raw,
         )
 

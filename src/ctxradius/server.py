@@ -136,7 +136,10 @@ def load_server_config(path: str | Path) -> ServerConfig:
     try:
         raw = {**raw}
         clients = []
-        for entry in require_list("clients", raw.pop("clients", [])):
+        entries = require_list("clients", raw.pop("clients", []))
+        if not entries:
+            raise ConfigError("clients: at least one client entry is required")
+        for entry in entries:
             entry = {**require_object("clients entry", entry)}
             network = require_network("client address", entry.pop("address"), strict=False)
             secret_hex = require_string("secret_hex", entry.pop("secret_hex"))
@@ -144,6 +147,8 @@ def load_server_config(path: str | Path) -> ServerConfig:
                 secret = bytes.fromhex(secret_hex)
             except ValueError as exc:
                 raise ConfigError(f"secret_hex: {exc}") from None
+            if not secret:
+                raise ConfigError("secret_hex: client shared secret must not be empty")
             clients.append(ClientEntry(network, secret, **entry))
         otp = require_object("otp", raw.pop("otp", {}))
         session = require_object("session", raw.pop("session", {}))
@@ -189,7 +194,8 @@ class EventLog:
 
     Each field is escaped, so one call writes exactly one line of four
     fields whatever a request carries.  Secrets, passwords and OTP values
-    never pass through here.
+    never pass through here.  `log` leaves the line in the stream's buffer;
+    the serving loop calls `flush` once per batch of datagrams.
     """
 
     def __init__(self, stream: TextIO | None = None):
@@ -200,6 +206,9 @@ class EventLog:
         line = f"{when}\t{_field(event)}\t{_field(subject)}\t{_field(detail)}\n"
         with self._lock:
             self._stream.write(line)
+
+    def flush(self) -> None:
+        with self._lock:
             self._stream.flush()
 
 
@@ -339,7 +348,6 @@ class Server:
             raise ServerStartupError(
                 f"cannot bind {self.config.bind_address}:{self.config.port}: {exc}"
             ) from exc
-        sock.settimeout(0.2)
         self._socket = sock
 
     @property
@@ -351,23 +359,35 @@ class Server:
     def serve_forever(self) -> None:
         """Serve datagrams one at a time, in arrival order, until shutdown().
 
-        Call `bind` first.  A stop request is noticed within the 0.2 s
-        receive timeout; datagrams still queued in the socket then go
-        unanswered.
+        Call `bind` first.  The loop blocks for a datagram, then drains the
+        socket's queue, answering each datagram before it reads the next,
+        and flushes the batch's event lines once the queue is empty.  A stop
+        request is noticed before the next datagram is served, and
+        `shutdown` sends one to wake a blocked loop; datagrams still queued
+        then go unanswered.
         """
+        sock = self._socket
         self.events.log(self.clock().isoformat(), "listen",
                         f"{self.config.bind_address}:{self.bound_port}", "")
-        while not self._stop.is_set():
+        self.events.flush()
+        flags = 0
+        while True:
             try:
-                data, addr = self._socket.recvfrom(wire.MAX_PACKET_LEN + 1)
-            except socket.timeout:
+                data, addr = sock.recvfrom(wire.MAX_PACKET_LEN + 1, flags)
+            except BlockingIOError:  # the queue is drained
+                self.events.flush()
+                flags = 0
                 continue
             except OSError:
                 break
+            if self._stop.is_set():
+                break
             self._serve_one(data, addr)
-        self._socket.close()
+            flags = socket.MSG_DONTWAIT
+        sock.close()
         self._socket = None
         self.events.log(self.clock().isoformat(), "shutdown", "-", "")
+        self.events.flush()
 
     def _serve_one(self, data: bytes, addr: tuple[str, int]) -> None:
         try:
@@ -382,7 +402,16 @@ class Server:
                 pass
 
     def shutdown(self) -> None:
+        """Stop `serve_forever`, waking its blocked receive with an empty datagram."""
         self._stop.set()
+        sock = self._socket
+        if sock is None:
+            return
+        try:
+            host, port = sock.getsockname()
+            sock.sendto(b"", ("127.0.0.1" if host == "0.0.0.0" else host, port))
+        except OSError:  # closed: the loop has stopped already
+            pass
 
 
 def _outcome(decision: AuthDecision) -> tuple[int, bytes, str]:
@@ -397,15 +426,22 @@ def _outcome(decision: AuthDecision) -> tuple[int, bytes, str]:
 
 
 def run_server(config: ServerConfig) -> None:
-    """Bind, install signal handlers and serve until interrupted."""
+    """Bind, install signal handlers and serve until interrupted.
+
+    The event lines go to a block-buffered stream of the daemon's own on
+    descriptor 2, which the loop flushes once per batch: `sys.stderr`
+    writes through on every line under PYTHONUNBUFFERED.
+    """
     import signal
 
-    server = Server(config)
-    server.bind()
+    with open(2, "w", encoding=sys.stderr.encoding, errors=sys.stderr.errors,
+              closefd=False) as stream:
+        server = Server(config, EventLog(stream))
+        server.bind()
 
-    def _stop(signum, frame):
-        server.shutdown()
+        def _stop(signum, frame):
+            server.shutdown()
 
-    signal.signal(signal.SIGINT, _stop)
-    signal.signal(signal.SIGTERM, _stop)
-    server.serve_forever()
+        signal.signal(signal.SIGINT, _stop)
+        signal.signal(signal.SIGTERM, _stop)
+        server.serve_forever()

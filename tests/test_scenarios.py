@@ -278,6 +278,9 @@ def test_cli_serve_startup_failure_exits_nonzero(tmp_path, capsys):
     (lambda raw: raw.update(clock_override={}), "clock_override"),
     (lambda raw: raw.update(clock_override=5), "clock_override"),
     (lambda raw: raw.update(clock_override="x"), "clock_override"),
+    (lambda raw: raw.update(clients=[]), "clients"),
+    (lambda raw: raw["context"].update(trusted_networks=[]), "trusted_networks"),
+    (lambda raw: raw["clients"][0].update(secret_hex=""), "secret_hex"),
 ], ids=["bind_address", "clock_override", "timezone", "clients-object", "client-string",
         "secret_hex", "user_store_path", "client-int-address", "trusted-int-network",
         "unknown-top-level-key", "unknown-otp-key", "unknown-session-key",
@@ -291,7 +294,8 @@ def test_cli_serve_startup_failure_exits_nonzero(tmp_path, capsys):
         "delivery_log_path-list", "working_days-int-entry", "working_days-null-entry",
         "clock_override-empty", "clock_override-zero", "clock_override-false",
         "clock_override-list", "clock_override-object", "clock_override-5",
-        "clock_override-not-iso"])
+        "clock_override-not-iso", "clients-empty", "trusted_networks-empty",
+        "secret_hex-empty"])
 def test_cli_serve_malformed_config_exits_nonzero(tmp_path, capsys, monkeypatch, malform, key):
     """A value of the wrong JSON type fails at load with one line, not a traceback,
     and that line names the key (or, for a file too deep to parse, the file).
@@ -428,7 +432,8 @@ def test_cli_scenario_constants_match_the_client():
 
 
 def test_server_subprocess_lifecycle(tmp_path):
-    """Start the daemon, run a scenario against it, terminate, exit 0."""
+    """Start the daemon, run a scenario against it, terminate, exit 0.  The
+    event lines the daemon held when SIGTERM came are on its stderr."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.bind(("127.0.0.1", 0))
     port = sock.getsockname()[1]
@@ -453,8 +458,12 @@ def test_server_subprocess_lifecycle(tmp_path):
         finally:
             proc.terminate()
             try:
-                proc.communicate(timeout=5)
+                _, err = proc.communicate(timeout=5)
             except subprocess.TimeoutExpired:
                 proc.kill()
                 raise
     assert proc.returncode == 0
+    events = [line.split("\t")[1:3] for line in err.splitlines()]
+    assert events[0][0] == "listen"
+    assert ["accept", "alice"] in events
+    assert events[-1] == ["shutdown", "-"]

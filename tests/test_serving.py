@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import io
 import socket
+import threading
 
 from ctxradius import wire
+from ctxradius.scenarios import DEMO_USERS, write_demo_fixtures
+from ctxradius.server import EventLog, Server, load_server_config
 from ctxradius.wire import PacketCode
 from test_server import ALICE, ALICE_PW, access_request
 
@@ -61,4 +65,64 @@ def test_shutdown_stops_the_loop_within_a_second(live_server):
     live_server.thread.join(timeout=1)
     assert not live_server.thread.is_alive()
     last = live_server.events.getvalue().splitlines()[-1]
+    assert last.split("\t")[1:3] == ["shutdown", "-"]
+
+
+class FlushCounter(io.StringIO):
+    flushes = 0
+
+    def flush(self) -> None:
+        self.flushes += 1
+        super().flush()
+
+
+def bound_server(directory, bind_address: str = "127.0.0.1") -> tuple[Server, FlushCounter]:
+    config = load_server_config(write_demo_fixtures(directory, port=0))
+    config.bind_address = bind_address
+    events = FlushCounter()
+    server = Server(config, EventLog(stream=events))
+    server.bind()
+    return server, events
+
+
+def test_bound_socket_blocks_without_a_timeout(tmp_path):
+    server, _ = bound_server(tmp_path)
+    try:
+        assert server._socket.gettimeout() is None
+    finally:
+        server._socket.close()
+
+
+def test_burst_is_answered_in_order_with_one_flush_per_batch(tmp_path):
+    """32 requests queued before the loop starts are drained as one batch:
+    each answered in arrival order, their event lines flushed together."""
+    server, events = bound_server(tmp_path)
+    users = [DEMO_USERS[i % 2] for i in range(32)]
+    with udp_socket() as sock:
+        for identifier, (name, password, _) in enumerate(users):
+            sock.sendto(access_request(name, password, identifier=identifier),
+                        ("127.0.0.1", server.bound_port))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            replies = [receive(sock) for _ in users]
+        finally:
+            server.shutdown()
+            thread.join(timeout=1)
+    assert not thread.is_alive()
+    assert [r.identifier for r in replies] == list(range(32))
+    assert {r.code for r in replies} == {PacketCode.ACCESS_ACCEPT}
+    lines = [line.split("\t")[1:3] for line in events.getvalue().splitlines()]
+    assert lines[1:-1] == [["accept", name] for name, _, _ in users]
+    assert events.flushes <= 4
+
+
+def test_shutdown_wakes_a_loop_bound_to_any_address(tmp_path):
+    server, events = bound_server(tmp_path, "0.0.0.0")
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    server.shutdown()
+    thread.join(timeout=1)
+    assert not thread.is_alive()
+    last = events.getvalue().splitlines()[-1]
     assert last.split("\t")[1:3] == ["shutdown", "-"]
