@@ -1,4 +1,5 @@
-"""Authentication flow: first factor, OTP second factor, sessions.
+"""Authentication flow: first factor, OTP second factor, sessions; and the
+line log that the OTP delivery log and the server's event log write.
 
 `Authenticator` has two entry points: `authenticate` decides a request
 that carries a password, and issues an OTP challenge when the context
@@ -12,12 +13,12 @@ a state token is consumed at most once, and attempt counters never race.
 Instants and expiries are integer microseconds since the epoch.
 
 Both stores are keyed by username, so no decision reads another user's
-entries.  A challenge is registered only after the first factor passes,
-a user's expired challenges are dropped when that user is next
-challenged, and a user's table is dropped with its last challenge; the
-challenge store therefore holds no empty table, and at most
-`MAX_PENDING_PER_USER` entries per user in the user store, as the session
-store holds at most one.
+entries.  A challenge is registered only after the first factor passes
+and its delivery line is written, a user's expired challenges are dropped
+when that user is next challenged, and a user's table is dropped with its
+last challenge; the challenge store therefore holds no empty table, and at
+most `MAX_PENDING_PER_USER` entries per user in the user store, as the
+session store holds at most one.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ import hashlib
 import hmac
 import json
 import math
-import os
 import secrets
-import weakref
+import sys
+import threading
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from .context import ContextVerdict, require_duration, require_number
 from .policy import RequestedAction, SecurityLevel, required_security
@@ -232,30 +233,55 @@ class Session:
         self.expires_at = expires_at
 
 
-class DeliveryLog:
-    """Append-only simulated out-of-band channel, one line per OTP sent.
+# Escapes for log fields: backslash, tab, CR and LF by name, the other C0
+# controls, DEL and the C1 controls as \xNN, and the two separators that
+# str.splitlines also splits on as \uNNNN.
+_FIELD_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
+_FIELD_ESCAPES.update({ord("\\"): "\\\\", ord("\t"): "\\t", ord("\r"): "\\r",
+                       ord("\n"): "\\n", 0x2028: "\\u2028", 0x2029: "\\u2029"})
 
-    The file is opened once; each line is one append-mode write, in the file
-    when `append` returns.  The descriptor closes when the log is collected."""
 
-    def __init__(self, path: str | Path):
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-        weakref.finalize(self, os.close, self._fd)
+def _field(text: str) -> str:
+    """`text` with nothing that could end its field or its line."""
+    if text.isprintable() and "\\" not in text:
+        return text
+    return text.translate(_FIELD_ESCAPES)
 
-    def append(self, when: str, channel: str, otp: str) -> None:
-        line = f"{when}\t{channel}\t{otp}\n".encode()
-        if os.write(self._fd, line) != len(line):
-            raise OSError("short write to the delivery log")
+
+class EventLog:
+    """Append-only log of tab-separated lines, one line per `log` call.
+
+    Each field is escaped, so one call writes exactly one line of as many
+    fields as it is given, whatever they hold.  The server's event log
+    writes instant, event, username-or-peer and detail, and never a secret,
+    password or OTP; the OTP delivery log, the simulated out-of-band
+    channel, writes instant, channel and OTP.  `log` leaves the line in the
+    stream's buffer, so a line-buffered stream holds it in the file when
+    `log` returns; `flush` empties a block-buffered one.  The lock is a
+    leaf: nothing is taken under it.
+    """
+
+    def __init__(self, stream: TextIO | None = None):
+        self._stream = stream if stream is not None else sys.stderr
+        self._lock = threading.Lock()
+
+    def log(self, *fields: str) -> None:
+        line = "\t".join(map(_field, fields)) + "\n"
+        with self._lock:
+            self._stream.write(line)
+
+    def flush(self) -> None:
+        with self._lock:
+            self._stream.flush()
 
 
 def latest_otp(path: str | Path, channel: str) -> str | None:
-    """Newest OTP delivered to a channel, per the delivery-log file format."""
-    newest = None
+    """Newest OTP delivered to a channel, read from a delivery log's file."""
+    written, newest = _field(channel), None
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             parts = line.rstrip("\n").split("\t")
-            if len(parts) == 3 and parts[1] == channel:
+            if len(parts) == 3 and parts[1] == written:
                 newest = parts[2]
     return newest
 
@@ -288,7 +314,7 @@ class AuthPolicy:
 class Authenticator:
     """Drives the decision flow over the user, challenge and session stores."""
 
-    def __init__(self, users: UserStore, delivery: DeliveryLog,
+    def __init__(self, users: UserStore, delivery: EventLog,
                  policy: AuthPolicy | None = None):
         self.users = users
         self.delivery = delivery
@@ -340,7 +366,8 @@ class Authenticator:
         meet that level and it already holds the role or holds two factors;
         the role is then raised in place.  Otherwise a Low request is
         admitted on one factor and a High one is challenged; completing the
-        challenge upgrades the same session.  The delivery line prints `when`.
+        challenge upgrades the same session.  The delivery line prints `when`,
+        and is written before the challenge is stored.
         """
         if not username or not password:
             return AuthDecision.reject(RejectReason.MALFORMED_REQUEST)
@@ -362,19 +389,21 @@ class Authenticator:
         if level is SecurityLevel.LOW:
             self._admit(username, role, 1, now)
             return AuthDecision.accept(role)
-        pending = self._challenges[username] = {
-            t: c for t, c in self._challenges.get(username, {}).items()
-            if now < c.expires_at}
+        pending = {t: c for t, c in self._challenges.get(username, {}).items()
+                   if now < c.expires_at}
         if len(pending) >= MAX_PENDING_PER_USER:
             return AuthDecision.reject(RejectReason.CHALLENGE_FLOOD)
+        otp = self._random_otp()
+        # delivered before it is stored: a failed write leaves no challenge
+        self.delivery.log(when, self.users.get(username).otp_channel, otp)
         token = secrets.token_bytes(16)
-        pending[token] = challenge = OtpChallenge(
-            otp_value=self._random_otp(),
+        pending[token] = OtpChallenge(
+            otp_value=otp,
             expires_at=now + round(self.policy.otp_ttl_seconds * 1_000_000),
             attempts_remaining=self.policy.otp_max_attempts,
             role=role,
         )
-        self.delivery.append(when, self.users.get(username).otp_channel, challenge.otp_value)
+        self._challenges[username] = pending
         return AuthDecision.challenge(token)
 
     def complete_challenge(self, state_token: bytes, otp: str, username: str,

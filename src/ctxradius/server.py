@@ -10,11 +10,12 @@ each, so a lookup and an insert cost the same at any table size and the
 cache never holds more than twice that many responses.
 
 The Server's lock is the only lock on decision state: it covers a
-datagram's dedup lookup, decision and store, and `Authenticator` and
-`DeliveryLog` hold none.  `EventLog` keeps its own lock for the lines the
-serving loop writes.  Each datagram writes exactly one event line, from one
-place in `handle_datagram`, after the Server's lock is released, so no
-thread ever holds two locks.
+datagram's dedup lookup, decision and store, and `Authenticator` holds
+none.  The event log and the OTP delivery log are each an `EventLog` with
+a lock of its own.  A challenge's delivery line is written under the
+Server's lock; each datagram writes exactly one event line, from one place
+in `handle_datagram`, after the Server's lock is released.  Both line
+logs' locks are leaves: no lock is taken while one is held.
 """
 
 from __future__ import annotations
@@ -24,17 +25,18 @@ import socket
 import struct
 import sys
 import threading
+import weakref
 from datetime import datetime, timezone
 from ipaddress import IPv4Address, IPv4Network
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable
 
 from . import wire
 from .auth import (
     AuthDecision,
     AuthPolicy,
     Authenticator,
-    DeliveryLog,
+    EventLog,
     Outcome,
     RejectReason,
     Role,
@@ -174,44 +176,6 @@ def load_server_config(path: str | Path) -> ServerConfig:
         raise ConfigError(f"malformed config {path}: missing key {exc}") from exc
 
 
-# Escapes for event-log fields: backslash, tab, CR and LF by name, the other
-# C0 controls, DEL and the C1 controls as \xNN, and the two separators that
-# str.splitlines also splits on as \uNNNN.
-_FIELD_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
-_FIELD_ESCAPES.update({ord("\\"): "\\\\", ord("\t"): "\\t", ord("\r"): "\\r",
-                       ord("\n"): "\\n", 0x2028: "\\u2028", 0x2029: "\\u2029"})
-
-
-def _field(text: str) -> str:
-    """`text` with nothing that could end its field or its line."""
-    if text.isprintable() and "\\" not in text:
-        return text
-    return text.translate(_FIELD_ESCAPES)
-
-
-class EventLog:
-    """One TSV event line per row: instant, event, username-or-peer, detail.
-
-    Each field is escaped, so one call writes exactly one line of four
-    fields whatever a request carries.  Secrets, passwords and OTP values
-    never pass through here.  `log` leaves the line in the stream's buffer;
-    the serving loop calls `flush` once per batch of datagrams.
-    """
-
-    def __init__(self, stream: TextIO | None = None):
-        self._stream = stream if stream is not None else sys.stderr
-        self._lock = threading.Lock()
-
-    def log(self, when: str, event: str, subject: str, detail: str = "") -> None:
-        line = f"{when}\t{_field(event)}\t{_field(subject)}\t{_field(detail)}\n"
-        with self._lock:
-            self._stream.write(line)
-
-    def flush(self) -> None:
-        with self._lock:
-            self._stream.flush()
-
-
 class Server:
     """Datagram handler plus the optional UDP serving loop around it."""
 
@@ -221,12 +185,15 @@ class Server:
         except (OSError, ValueError) as exc:
             raise ServerStartupError(f"cannot load user store: {exc}") from exc
         try:
-            delivery = DeliveryLog(config.delivery_log_path)
+            Path(config.delivery_log_path).parent.mkdir(parents=True, exist_ok=True)
+            # line-buffered: each OTP line is in the file before its Challenge is sent
+            delivery = open(config.delivery_log_path, "a", buffering=1, encoding="utf-8")
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise ServerStartupError(f"cannot open delivery log: {exc}") from exc
+        weakref.finalize(self, delivery.close)
 
         self.config = config
-        self.auth = Authenticator(users, delivery, config.auth_policy)
+        self.auth = Authenticator(users, EventLog(delivery), config.auth_policy)
         self.events = event_log or EventLog()
         # Keyed on (peer, port, identifier) packed into one int, each value one
         # packed bytes: live entries set peak memory.  `_dedup` holds entries

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import sys
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 from ctxradius import auth as auth_module
 from ctxradius import wire
 from ctxradius.auth import (
+    MAX_PENDING_PER_USER,
     Authenticator,
-    DeliveryLog,
+    EventLog,
     Outcome,
     RejectReason,
     Role,
@@ -62,9 +64,15 @@ def log(tmp_path):
     return tmp_path / "otp.log"
 
 
+def delivery_log(path):
+    """The delivery log's stream as `Server` opens it."""
+    return open(path, "a", buffering=1, encoding="utf-8")
+
+
 @pytest.fixture
 def engine(users, log):
-    return Authenticator(users, DeliveryLog(log))
+    with delivery_log(log) as stream:
+        yield Authenticator(users, EventLog(stream))
 
 
 def challenge_alice(engine, log):
@@ -238,12 +246,13 @@ def test_challenge_expiry_arithmetic(engine, log):
 
 def test_challenges_are_fresh(users, log, monkeypatch):
     monkeypatch.setattr(auth_module, "MAX_PENDING_PER_USER", 200)
-    engine = Authenticator(users, DeliveryLog(log))
     tokens, otps = set(), []
-    for _ in range(100):
-        token, otp = challenge_alice(engine, log)
-        tokens.add(token)
-        otps.append(otp)
+    with delivery_log(log) as stream:
+        engine = Authenticator(users, EventLog(stream))
+        for _ in range(100):
+            token, otp = challenge_alice(engine, log)
+            tokens.add(token)
+            otps.append(otp)
     assert len(tokens) == 100
     assert len(set(otps)) > 1
 
@@ -270,6 +279,30 @@ def test_flood_limit(engine, log):
     # an unrelated user is unaffected
     decision = engine.authenticate("bob", b"builder", ROOT, PLAUSIBLE, NOW, WHEN)
     assert decision.outcome is Outcome.CHALLENGE
+
+
+class FullDisk:
+    """A text stream whose every write fails as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_delivery_leaves_no_challenge(tmp_path):
+    """A challenge whose OTP line cannot be written gets no reply and is not
+    stored, so it cannot count against the pending maximum."""
+    server, _ = demo_server(tmp_path)
+    now = server.clock()
+    delivery = server.auth.delivery
+    server.auth.delivery = EventLog(FullDisk())
+    for identifier in range(1, MAX_PENDING_PER_USER + 1):
+        with pytest.raises(OSError):
+            server.handle_datagram(root_leg(identifier), PEER, now)
+    assert "alice" not in server.auth._challenges
+    server.auth.delivery = delivery
+    response = server.handle_datagram(root_leg(MAX_PENDING_PER_USER + 1), PEER, now)
+    assert wire.decode_packet(response).code is CHALLENGE
+    assert len(server.auth._challenges["alice"]) == 1
 
 
 def test_verify_otp_single_use(engine, log):
@@ -346,10 +379,10 @@ def test_other_users_leg_leaves_the_challenge_untouched(engine, log):
 
 
 class CountingLock:
-    """A threading.Lock that counts how often it is taken and, when it
-    watches another CountingLock, how often that one was held then."""
+    """A threading.Lock that counts how often it is taken and how often any
+    of the CountingLocks it watches was held then."""
 
-    def __init__(self, watch: CountingLock | None = None):
+    def __init__(self, *watch: CountingLock):
         self._lock = threading.Lock()
         self.watch = watch
         self.acquired = self.nested = 0
@@ -358,7 +391,7 @@ class CountingLock:
     def __enter__(self):
         self._lock.acquire()
         self.acquired += 1
-        self.nested += bool(self.watch and self.watch.held)
+        self.nested += any(lock.held for lock in self.watch)
         self.held = True
         return self
 
@@ -367,20 +400,24 @@ class CountingLock:
         self._lock.release()
 
 
-@pytest.mark.parametrize("leg, peer, code, takes",
-                         [(row[1], row[2], row[3], row[5]) for row in LEGS],
-                         ids=[row[0] for row in LEGS])
-def test_each_leg_takes_the_lock_once(tmp_path, leg, peer, code, takes):
+@pytest.mark.parametrize("leg, peer, code, line, takes",
+                         [row[1:] for row in LEGS], ids=[row[0] for row in LEGS])
+def test_each_leg_takes_the_lock_once(tmp_path, leg, peer, code, line, takes):
     """A datagram's lookup, decision and store take the Server's lock once,
-    a drop before the lookup takes it not at all, and its one event line is
-    written with the lock released."""
+    a drop before the lookup takes it not at all, a challenge's delivery
+    line is written under it, and its one event line is written with the
+    lock released.  Both line logs' locks are leaves."""
     server, _ = demo_server(tmp_path)
     raw = leg(server)
     lock = server._lock = CountingLock()
-    events_lock = server.events._lock = CountingLock(watch=lock)
+    delivery_lock = server.auth.delivery._lock = CountingLock(lock)
+    lock.watch = (delivery_lock,)
+    events_lock = server.events._lock = CountingLock(lock, delivery_lock)
     response = server.handle_datagram(raw, peer, server.clock())
     assert (response and wire.decode_packet(response).code) == code
-    assert lock.acquired == takes
+    assert (lock.acquired, lock.nested) == (takes, 0)
+    issued = int(line[0] == "challenge")
+    assert (delivery_lock.acquired, delivery_lock.nested) == (issued, issued)
     assert (events_lock.acquired, events_lock.nested) == (1, 0)
 
 

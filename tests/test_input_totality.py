@@ -7,7 +7,8 @@ Each draw runs through `cli.main(["serve", ...])` with `run_server`
 replaced by a stand-in that builds the server on an in-memory event log
 and pushes one default and one root request through `handle_datagram`,
 so no socket is bound.  A draw replaces the whole config file, one config
-section or field, one user-store entry or one field of an entry.
+section or field, one user-store entry or one field of an entry.  A config
+section or field that fails startup is named in its startup line.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ ANY_JSON = json_values()
 # in its own directory (or is its parent, which cannot be opened as a file).
 PATH_JSON = json_values(st.text(st.characters(blacklist_characters="/")))
 PATH_KEYS = {"user_store_path", "delivery_log_path"}
+ROLES = {"user_store_path": "user store", "delivery_log_path": "delivery log"}
 
 
 def config_fields(raw: dict) -> list[tuple]:
@@ -58,6 +60,17 @@ def config_fields(raw: dict) -> list[tuple]:
             fields += [(key, name) for name in section]
     fields += [("clients", 0, name) for name in raw["clients"][0]]
     return fields
+
+
+def named(config: dict, path: tuple) -> set[str]:
+    """What a startup line that a draw at `path` fails may name: the drawn
+    key, a key the whole section at `path` holds, or the role of the file
+    a path key names."""
+    key = path[-1]
+    section = config[key] if len(path) == 1 else {}
+    if isinstance(section, list):
+        section = section[0]
+    return {key, ROLES.get(key, key), *(section if isinstance(section, dict) else ())}
 
 
 def replace(doc, path: tuple, value) -> None:
@@ -122,6 +135,8 @@ def test_any_config_or_store_fails_with_one_line_or_serves(tmp_path, monkeypatch
             assert code == 1
             assert err.getvalue().count("server startup failed:") == 1
             assert "Traceback" not in err.getvalue()
+            if kind == "config field":
+                assert any(name in err.getvalue() for name in named(base_config, path)), path
             return
         # a fault while answering must not pass for a startup failure
         assert code == 0, err.getvalue()

@@ -959,6 +959,22 @@ def test_overlapping_clients_first_entry_in_config_order_wins(tmp_path, clients,
         assert wire.verify_response_authenticator(reply, ra, secret)
 
 
+def test_delivery_line_escapes_a_backslash_channel(tmp_path):
+    """A channel's backslash is escaped in its delivery line as an event
+    field's is, and `latest_otp` still finds the channel's OTP."""
+    config_path = write_demo_fixtures(tmp_path, port=0)
+    channel = "sms:a\\b"
+    UserStore.save(tmp_path / "users.json", [UserRecord.create(ALICE, ALICE_PW, channel)])
+    server = Server(load_server_config(config_path), EventLog(stream=io.StringIO()))
+    reply = handle(server, root_leg(1))
+    assert reply.code is CHALLENGE
+    otp = latest_otp(server.config.delivery_log_path, channel)
+    assert otp is not None and otp.isdigit()
+    assert server.config.delivery_log_path.read_text() == (
+        f"{server.clock().isoformat()}\tsms:a\\\\b\t{otp}\n")
+    assert handle(server, root_leg(2, otp, reply.first(wire.STATE))).code is ACCEPT
+
+
 def test_challenge_opens_no_file(tmp_path, monkeypatch):
     """The delivery log is opened at startup: issuing a challenge opens no
     file, and its OTP line is in the file when `handle_datagram` returns."""
